@@ -5,7 +5,8 @@ PY ?= python
 export PYTHONPATH := src
 
 .PHONY: test ci bench bench-record overhead-check serve-smoke fsck-smoke \
-	store-bench-smoke scaling-smoke cluster-smoke reshard-smoke lowrank-smoke harness
+	store-bench-smoke scaling-smoke cluster-smoke reshard-smoke lowrank-smoke harness \
+	perfbench-selftest
 
 test:
 	$(PY) -m pytest tests/ -q
@@ -19,6 +20,13 @@ ci:
 	else \
 		echo "ruff not installed; lint runs in CI"; \
 	fi
+
+## The repository benchmark at a tiny size, twice per workload: no failed
+## operation, input-determined counts repeat exactly, traced layers account
+## for the wall time (see perfbench/README.md).  Also catches a change to
+## the codec parse tuple that the archive traced path reads.
+perfbench-selftest:
+	python3 perfbench/selftest.py
 
 ## Timed paper benchmarks (pytest-benchmark, shape assertions included).
 bench:

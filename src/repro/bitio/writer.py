@@ -70,36 +70,36 @@ def varlen_bits(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Variable-length codewords as one flat MSB-first 0/1 uint8 array.
 
     ``codes[i]`` holds the codeword for symbol *i* right-aligned in a
-    uint64; ``lengths[i]`` is its bit length.  The whole stream is
-    assembled with one boolean-mask select rather than a Python loop.
+    uint64 (bits above ``lengths[i]`` are ignored); ``lengths[i]`` is its
+    bit length, 0..64.  The codewords are OR-ed into 64-bit stream words —
+    each lands in one word, or spills into the next — and the words are
+    unpacked once, so the cost per symbol does not grow with the widest
+    codeword.
     """
     codes = np.ascontiguousarray(codes, dtype=np.uint64)
     lengths = np.ascontiguousarray(lengths, dtype=np.int64)
     if codes.size == 0:
         return np.zeros(0, dtype=np.uint8)
-    maxlen = int(lengths.max())
-    if maxlen > 64:
-        raise ParameterError("codeword longer than 64 bits")
-    if maxlen <= 32:
-        # Left-align each codeword in a power-of-two field, expand via
-        # np.unpackbits on the big-endian byte view, and keep each row's
-        # first `lengths[i]` bits with a matching unpacked prefix mask.
-        # Far cheaper than a shift matrix: unpackbits is one C pass.
-        w, dt = _unpack_width(maxlen)
-        sh = (w - lengths).astype(np.uint64)
-        field = np.uint64((1 << w) - 1)
-        al = ((codes << sh) & field).astype(dt)
-        mm = ((field << sh) & field).astype(dt)
-        bits = np.unpackbits(al if w == 8 else al.byteswap().view(np.uint8))
-        mbits = np.unpackbits(mm if w == 8 else mm.byteswap().view(np.uint8))
-        return bits[mbits.view(np.bool_)]
-    # Wide codewords are rare; keep the simple shift-matrix path.
-    shifts = (maxlen - lengths).astype(np.uint64)
-    aligned = codes << shifts
-    col = _UINT64_SHIFTS[64 - maxlen :]
-    bitmat = ((aligned[:, None] >> col[None, :]) & np.uint64(1)).astype(np.uint8)
-    mask = np.arange(maxlen, dtype=np.int64)[None, :] < lengths[:, None]
-    return bitmat[mask]
+    shortest = int(lengths.min())
+    if int(lengths.max()) > 64 or shortest < 0:
+        raise ParameterError("codeword lengths must be in [0, 64]")
+    ends = np.cumsum(lengths)
+    total = int(ends[-1])
+    starts = ends - lengths
+    ln = lengths.view(np.uint64)
+    aligned = codes << (np.uint64(64) - ln)  # codeword at the top of 64 bits
+    if shortest == 0:
+        aligned[lengths == 0] = 0  # a shift by 64 is undefined
+    off = (starts & 63).view(np.uint64)
+    word = starts >> 6
+    # Codewords never overlap, so adding them into their words ORs them.
+    # The part past a word's end goes to the next word; shifting by
+    # 63 - off, then by 1, sends it there and leaves 0 when off == 0.
+    # (+2: a zero-length codeword may start at the very end of the stream)
+    words = np.zeros(((total + 63) >> 6) + 2, dtype=np.uint64)
+    np.add.at(words, word, aligned >> off)
+    np.add.at(words, word + 1, (aligned << (np.uint64(63) - off)) << np.uint64(1))
+    return np.unpackbits(words.byteswap().view(np.uint8))[:total]
 
 
 class BitWriter:

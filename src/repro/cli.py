@@ -134,7 +134,10 @@ def cmd_decompress(args: argparse.Namespace) -> int:
     codec = PaSTRICompressor(dims=hdr.spec.dims)
     out = codec.decompress(blob)
     np.save(args.output, out)
-    print(f"{args.input}: {len(blob)} B -> {out.nbytes} B ({out.size} doubles)")
+    print(
+        f"{args.input}: {len(blob)} B -> {out.nbytes} B ({out.size} doubles, "
+        f"stream v{hdr.version})"
+    )
     return 0
 
 
@@ -196,6 +199,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         blob = fh.read()
     hdr = fmt.read_header(BitReader(blob))
     print(f"PaSTRI stream: {args.input}")
+    print(f"  stream version: {hdr.version} ({fmt.LAYOUT_NAMES[hdr.version]})")
     print(f"  error bound : {hdr.error_bound:g}")
     print(f"  block dims  : {hdr.spec.dims}  {hdr.spec.config}")
     print(f"  blocks      : {hdr.n_blocks} (+{hdr.n_tail} tail values)")

@@ -621,6 +621,8 @@ def _codec_for_v1(name: str, fh: BinaryIO, frames: list[FrameInfo]) -> Codec:
 
     PaSTRI needs block geometry at construction time, but its blobs are
     self-describing — peek the first frame's stream header for ``dims``.
+    The peek reads stream versions 1 and 2 (``hdr.version``); each frame's
+    own version byte later picks its dense-ECQ read path.
     """
     if name != "pastri":
         return api.get_codec(name)

@@ -34,6 +34,29 @@ def make_patterned_stream(
     return blocks.reshape(-1)
 
 
+def make_class_block(
+    kind: str, rng: np.random.Generator, dims: tuple[int, int, int, int]
+) -> np.ndarray:
+    """One ``(num_sb, sb_size)`` block that PaSTRI codes as ``kind`` at
+    EB >= 1e-12: ``zero``, ``raw`` (incompressible), ``dense`` ECQ, or
+    ``sparse`` ECQ (a patterned block plus a few large point deviations).
+    """
+    spec = BlockSpec(dims)
+    M, L = spec.num_sb, spec.sb_size
+    if kind == "zero":
+        return np.zeros((M, L))
+    if kind == "raw":
+        return rng.standard_normal((M, L)) * 1e6  # incompressible at tight EB
+    base = 1e-7 * rng.standard_normal((M, 1)) * rng.standard_normal((1, L))
+    if kind == "dense":
+        return base * (1.0 + 1e-3 * rng.standard_normal((M, L)))
+    block = base.copy()
+    k = rng.integers(1, 4)
+    flat = block.reshape(-1)
+    flat[rng.choice(flat.size, size=k, replace=False)] += 1e-7 * rng.standard_normal(k)
+    return block
+
+
 @pytest.fixture
 def patterned_stream(rng) -> np.ndarray:
     return make_patterned_stream(rng)

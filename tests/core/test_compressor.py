@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import BlockType, PaSTRICompressor, ScalingMetric
 from repro.errors import FormatError, ParameterError
-from tests.conftest import make_patterned_stream
+from tests.conftest import make_class_block, make_patterned_stream
 
 DIMS = (6, 6, 6, 6)
 EB = 1e-10
@@ -97,11 +99,27 @@ def test_huge_error_bound_gives_type0_blocks(patterned_stream):
     assert np.max(np.abs(c.decompress(blob) - patterned_stream)) <= 1.0
 
 
-def test_stats_bit_accounting_matches_blob_size(patterned_stream):
-    c = codec(collect_stats=True)
-    blob = c.compress(patterned_stream, EB)
-    st = c.last_stats
-    assert st.bits_total <= 8 * len(blob) < st.bits_total + 8  # byte padding only
+@given(
+    tree=st.sampled_from([1, 2, 3, 4, 5]),
+    mode=st.sampled_from(["adaptive", "dense", "sparse"]),
+    kinds=st.lists(
+        st.sampled_from(["zero", "dense", "sparse", "raw"]), min_size=1, max_size=8
+    ),
+    n_tail=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_stats_bit_accounting_matches_blob_size(tree, mode, kinds, n_tail, seed):
+    """Every tree x ECQ mode x block mix: stats account for every bit."""
+    rng = np.random.default_rng(seed)
+    dims = (2, 2, 3, 3)
+    blocks = [make_class_block(k, rng, dims).reshape(-1) for k in kinds]
+    data = np.concatenate(blocks + [rng.standard_normal(n_tail)])
+    c = codec(dims=dims, tree_id=tree, ecq_mode=mode, collect_stats=True)
+    blob = c.compress(data, EB)
+    st_ = c.last_stats
+    assert st_.bits_total <= 8 * len(blob) < st_.bits_total + 8  # byte padding only
+    assert np.max(np.abs(c.decompress(blob) - data)) <= EB
 
 
 def test_stats_none_when_not_collected(patterned_stream):

@@ -1,5 +1,7 @@
 """Tests for the `pastri` command-line interface (repro.cli)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,25 @@ def test_info_prints_header_fields(tmp_path, npz_dataset, capsys):
     assert main(["info", str(comp)]) == 0
     out = capsys.readouterr().out
     assert "1e-09" in out and "(dd|dd)" in out
+
+
+def test_info_and_decompress_report_the_stream_version(tmp_path, npz_dataset, capsys):
+    src, data = npz_dataset
+    comp = tmp_path / "o.pastri"
+    main(["compress", str(src), str(comp), "--eb", "1e-10"])
+    capsys.readouterr()
+    assert main(["info", str(comp)]) == 0
+    assert "stream version: 2 (planar ECQ)" in capsys.readouterr().out
+    # a committed version-1 blob: listed as such, decoded bit-identically
+    fx = np.load(Path(__file__).parent / "data" / "pastri_v1_streams.npz")
+    v1 = tmp_path / "v1.pastri"
+    v1.write_bytes(fx["mixed_t4_adaptive_blob"].tobytes())
+    assert main(["info", str(v1)]) == 0
+    assert "stream version: 1 (interleaved ECQ)" in capsys.readouterr().out
+    assert main(["decompress", str(v1), str(tmp_path / "v1.npy")]) == 0
+    assert "stream v1" in capsys.readouterr().out
+    expected = fx[f"output_{int(fx['mixed_t4_adaptive_out'])}"]
+    assert np.array_equal(np.load(tmp_path / "v1.npy").view(np.uint64), expected.view(np.uint64))
 
 
 def test_cli_metric_and_tree_options(tmp_path, npz_dataset):
