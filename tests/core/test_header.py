@@ -70,3 +70,11 @@ def test_oversized_dims_rejected():
     hdr = make_header(spec=BlockSpec((1 << 16, 1, 1, 1)))
     with pytest.raises(ParameterError):
         fmt.write_header(BitWriter(), hdr)
+
+
+def test_only_the_current_version_is_written():
+    """Version 1 is read-only: its dense layout has no writer here."""
+    assert fmt.READ_VERSIONS == tuple(fmt.LAYOUT_NAMES) == (1, 2)
+    for version in (1, 3):
+        with pytest.raises(ParameterError, match="version"):
+            fmt.write_header(BitWriter(), make_header(version=version))
