@@ -11,10 +11,12 @@ export PYTHONPATH := src
 test:
 	$(PY) -m pytest tests/ -q
 
-## What .github/workflows/ci.yml runs: the tier-1 suite plus the linter
+## The first steps of .github/workflows/ci.yml: the tier-1 suite, the
+## benchmark self-test that CI runs right after it, and the linter
 ## (skipped with a note when ruff isn't installed locally).
 ci:
 	$(PY) -m pytest -x -q
+	$(MAKE) perfbench-selftest
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src/; \
 	else \

@@ -59,7 +59,6 @@ import sys
 import numpy as np
 
 from repro.api import resolve_error_bound
-from repro.bitio import BitReader
 from repro.chem.dataset import ERIDataset
 from repro.core import PaSTRICompressor
 from repro.core import header as fmt
@@ -130,7 +129,7 @@ def cmd_decompress(args: argparse.Namespace) -> int:
         )
     with open(args.input, "rb") as fh:
         blob = fh.read()
-    hdr = fmt.read_header(BitReader(blob))
+    hdr = fmt.unpack_header(blob)
     codec = PaSTRICompressor(dims=hdr.spec.dims)
     out = codec.decompress(blob)
     np.save(args.output, out)
@@ -197,7 +196,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         return 0
     with open(args.input, "rb") as fh:
         blob = fh.read()
-    hdr = fmt.read_header(BitReader(blob))
+    hdr = fmt.unpack_header(blob)
     print(f"PaSTRI stream: {args.input}")
     print(f"  stream version: {hdr.version} ({fmt.LAYOUT_NAMES[hdr.version]})")
     print(f"  error bound : {hdr.error_bound:g}")

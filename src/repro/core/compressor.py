@@ -177,47 +177,13 @@ class PaSTRICompressor:
 
     def compress(self, data: np.ndarray, error_bound: float) -> bytes:
         """Compress a 1-D float64 stream of shell blocks."""
-        data = api.validate_input(data)
-        eb = api.validate_error_bound(error_bound)
-        spec = self.spec
-        N = spec.block_size
-        n_blocks, n_tail = split_blocks(data.size, N)
-
-        w = BitWriter()
-        hdr = fmt.StreamHeader(
-            error_bound=eb,
-            spec=spec,
-            n_blocks=n_blocks,
-            n_tail=n_tail,
-            tree_id=self.tree_id,
-            metric=self.metric,
+        stats = (
+            StreamStats(bits_global_header=fmt.StreamHeader.NBITS)
+            if self.collect_stats else None
         )
-        fmt.write_header(w, hdr)
-
-        stats = StreamStats(n_points=data.size, bits_global_header=w.nbits) if self.collect_stats else None
-
-        if n_blocks:
-            self._compress_blocks(w, data[: n_blocks * N], n_blocks, eb, stats)
-
-        if n_tail:
-            tail = data[n_blocks * N :]
-            w.write_uint_array(tail.view(np.uint64), 64)
-            if stats is not None:
-                stats.bits_tail += 64 * n_tail
-
+        (blob,) = self._compress_streams([data], error_bound, stats)
         self.last_stats = stats
-        return w.getvalue()
-
-    def _compress_blocks(
-        self,
-        w: BitWriter,
-        body: np.ndarray,
-        n_blocks: int,
-        eb: float,
-        stats: StreamStats | None,
-    ) -> None:
-        parts = self._block_parts(body, n_blocks, eb, stats)
-        w.write_segments(seg for block_parts in parts for seg in block_parts)
+        return blob
 
     def compress_many(self, arrays, error_bound: float) -> list[bytes]:
         """Compress several streams in one fused batched kernel pass.
@@ -232,6 +198,19 @@ class PaSTRICompressor:
         ``last_stats`` is cleared (per-stream attribution is meaningless
         for a fused pass).
         """
+        blobs = self._compress_streams(arrays, error_bound, None)
+        self.last_stats = None
+        return blobs
+
+    def _compress_streams(
+        self, arrays, error_bound: float, stats: StreamStats | None
+    ) -> list[bytes]:
+        """One blob per input stream, all whole blocks in one kernel pass.
+
+        Each blob is the packed global header followed by the stream's
+        block segments and raw tail.  ``stats`` (one stream only) receives
+        the point count and the block and tail bit accounting.
+        """
         eb = api.validate_error_bound(error_bound)
         N = self.spec.block_size
         prepped = []
@@ -245,32 +224,29 @@ class PaSTRICompressor:
         parts: list[tuple[np.ndarray, ...]] = []
         if bodies:
             body = bodies[0] if len(bodies) == 1 else np.concatenate(bodies)
-            parts = self._block_parts(body, body.size // N, eb, None)
+            parts = self._block_parts(body, body.size // N, eb, stats)
         blobs = []
         lo = 0
         for d, n_blocks, n_tail in prepped:
+            head = fmt.pack_header(fmt.StreamHeader(
+                error_bound=eb,
+                spec=self.spec,
+                n_blocks=n_blocks,
+                n_tail=n_tail,
+                tree_id=self.tree_id,
+                metric=self.metric,
+            ))
+            # The header is whole bytes, so the body packs on its own.
             w = BitWriter()
-            fmt.write_header(
-                w,
-                fmt.StreamHeader(
-                    error_bound=eb,
-                    spec=self.spec,
-                    n_blocks=n_blocks,
-                    n_tail=n_tail,
-                    tree_id=self.tree_id,
-                    metric=self.metric,
-                ),
-            )
             if n_blocks:
-                w.write_segments(
-                    seg for bp in parts[lo : lo + n_blocks] for seg in bp
-                )
+                w.write_segments(seg for bp in parts[lo : lo + n_blocks] for seg in bp)
                 lo += n_blocks
             if n_tail:
-                tail = d[n_blocks * N :]
-                w.write_uint_array(tail.view(np.uint64), 64)
-            blobs.append(w.getvalue())
-        self.last_stats = None
+                w.write_uint_array(d[n_blocks * N :].view(np.uint64), 64)
+            if stats is not None:
+                stats.n_points = d.size
+                stats.bits_tail = 64 * n_tail
+            blobs.append(head + w.getvalue())
         return blobs
 
     def _block_parts(
@@ -534,10 +510,11 @@ class PaSTRICompressor:
         """Reconstruct the stream; output satisfies the stored error bound.
 
         Two passes (see ``docs/ALGORITHM.md``): an *index pass* walks the
-        scalar block headers and records each block's (kind, P_b, EC_b,max,
-        bit offsets), then a *batched reconstruction pass* gathers each
-        class's fields at once, forms all scale×pattern outer products with
-        one broadcast multiply per class, and scatter-adds every correction.
+        scalar block headers, records each block's (kind, P_b, EC_b,max,
+        bit offsets) and files its id under its class, then a *batched
+        reconstruction pass* gathers each class's fields at once, forms all
+        scale×pattern outer products with one broadcast multiply per class,
+        and scatter-adds every correction.
 
         The stream's version byte picks how dense ECQ segments are read.
         Version 2 (planar) segments are skipped by popcount during the walk
@@ -551,22 +528,31 @@ class PaSTRICompressor:
         """
         if not isinstance(blob, (bytes, bytearray)):
             blob = bytes(blob)  # mmap views etc.: parse memo needs a hashable key
-        r = BitReader(blob)
-        hdr = fmt.read_header(r)
+        hdr = fmt.unpack_header(blob)
         # Corrupt count fields must not drive allocations: every block costs
         # at least its 2-bit kind tag, every tail value 64 bits.
-        if hdr.n_blocks * 2 + hdr.n_tail * 64 > r.remaining:
+        if hdr.n_blocks * 2 + hdr.n_tail * 64 > 8 * len(blob) - hdr.NBITS:
             raise FormatError("block/tail counts exceed the stream length")
+        r = BitReader(blob)
         parse = self._parse_cache.get(blob)
         if parse is None:
-            parse = self._index_pass(blob, hdr, r)
+            parse = self._index_pass(blob, hdr, r.bits)
             self._parse_cache[blob] = parse
             while len(self._parse_cache) > _PARSE_CACHE_MAX:
                 self._parse_cache.pop(next(iter(self._parse_cache)))
         return self._reconstruct(hdr, r, parse)
 
-    def _index_pass(self, blob: bytes, hdr: fmt.StreamHeader, r: BitReader) -> tuple:
-        """Scalar header walk plus dense ECQ decode; returns the parse tuple."""
+    def _index_pass(self, blob: bytes, hdr: fmt.StreamHeader, bits: np.ndarray) -> tuple:
+        """Scalar header walk plus dense ECQ decode; returns the parse tuple.
+
+        The first ten entries are the per-block arrays (kind, P_b,
+        EC_b,max, field offset, sparse count, sparse offset, sparse mask),
+        the dense block ids with their decoded tokens, and the bit offset
+        where the blocks end.  The last three are the block classes the
+        walk saw, which :meth:`_reconstruct` batches over: raw block ids,
+        then ``(P_b, ids)`` of patterned blocks and ``(EC_b,max, ids)`` of
+        sparse-ECQ blocks, each sorted by its key, ids ascending.
+        """
         spec = hdr.spec
         M, L, N = spec.num_sb, spec.sb_size, spec.block_size
         idx_bits = max(1, (N - 1).bit_length())
@@ -574,7 +560,6 @@ class PaSTRICompressor:
         n_b = hdr.n_blocks
         tid = hdr.tree_id
         planar = hdr.version >= 2
-        bits = r.bits
         kind_arr = np.zeros(n_b, dtype=np.int8)
         pb_arr = np.zeros(n_b, dtype=np.int64)
         ecb_arr = np.zeros(n_b, dtype=np.int64)
@@ -582,12 +567,15 @@ class PaSTRICompressor:
         sp_nol = np.zeros(n_b, dtype=np.int64)
         sp_off = np.zeros(n_b, dtype=np.int64)
         sparse_mask = np.zeros(n_b, dtype=bool)
+        raw_ids: list[int] = []
+        pat_ids: dict[int, list[int]] = {}
+        sp_ids: dict[int, list[int]] = {}
         dense_ids: list[int] = []
         dense_starts: list[int] = []
         dense_vals: list[np.ndarray] = []
         if not planar:
             decoder = ECQDecoder(bits, tid, hints=self._scan_hints.setdefault(tid, {}))
-        sc = FieldScanner(blob, pos=r.pos)
+        sc = FieldScanner(blob, pos=hdr.NBITS)
         pqsq_bits = L + M
 
         for b in range(n_b):
@@ -596,6 +584,7 @@ class PaSTRICompressor:
                 continue
             if kind == fmt.KIND_RAW:
                 kind_arr[b] = fmt.KIND_RAW
+                raw_ids.append(b)
                 off_arr[b] = sc.pos
                 sc.skip(64 * N)
                 continue
@@ -606,6 +595,7 @@ class PaSTRICompressor:
             if not 1 <= pb <= MAX_FIELD_BITS:
                 raise FormatError(f"bad P_b {pb} in block {b}")
             pb_arr[b] = pb
+            pat_ids.setdefault(pb, []).append(b)
             off_arr[b] = sc.pos
             sc.skip(pqsq_bits * pb)
             eb_max = sc.read(6)
@@ -618,6 +608,7 @@ class PaSTRICompressor:
                 if idx_bits + eb_max > 64:
                     raise FormatError(f"oversized outlier fields in block {b}")
                 sparse_mask[b] = True
+                sp_ids.setdefault(eb_max, []).append(b)
                 cnt = sc.read(nol_bits)
                 sp_nol[b] = cnt
                 sp_off[b] = sc.pos
@@ -642,15 +633,20 @@ class PaSTRICompressor:
                     bits, sc.padded, np.asarray(dense_starts, dtype=np.int64),
                     ecb_arr[dense_idx], tid, dense_mat,
                 )
+
+        def classes(by_key):
+            return tuple((k, np.asarray(by_key[k], dtype=np.int64)) for k in sorted(by_key))
+
         return (kind_arr, pb_arr, ecb_arr, off_arr, sp_nol, sp_off,
-                sparse_mask, dense_idx, dense_mat, sc.pos)
+                sparse_mask, dense_idx, dense_mat, sc.pos,
+                np.asarray(raw_ids, dtype=np.int64), classes(pat_ids), classes(sp_ids))
 
     def _reconstruct(
         self, hdr: fmt.StreamHeader, r: BitReader, parse: tuple
     ) -> np.ndarray:
         """Batched reconstruction from a parse tuple (cold or memoised)."""
-        (kind_arr, pb_arr, ecb_arr, off_arr, sp_nol, sp_off, sparse_mask,
-         dense_idx, dense_mat, body_end) = parse
+        (_, _, _, off_arr, sp_nol, sp_off, _, dense_idx, dense_mat, body_end,
+         raw_ids, pat_classes, sp_classes) = parse
         spec = hdr.spec
         binsize = working_binsize(hdr.error_bound)
         M, L, N = spec.num_sb, spec.sb_size, spec.block_size
@@ -662,7 +658,6 @@ class PaSTRICompressor:
         flat = out[: n_b * N]
         body = flat.reshape(n_b, N)
 
-        raw_ids = np.flatnonzero(kind_arr == fmt.KIND_RAW)
         if raw_ids.size:
             # Chunked: the bit gather costs 8 bytes per stream bit.
             step = max(1, (1 << 23) // (64 * N))
@@ -671,60 +666,52 @@ class PaSTRICompressor:
                 u = gather_uint_fields(bits, off_arr[ids], N, 64)
                 body[ids] = u.view(np.float64)
 
-        pat_ids = np.flatnonzero(kind_arr == fmt.KIND_PATTERNED)
-        if pat_ids.size:
-            for pb in np.unique(pb_arr[pat_ids]):
-                ids = pat_ids[pb_arr[pat_ids] == pb]
-                pbi = int(pb)
-                offset = np.int64(1) << (pbi - 1)
-                fields = gather_uint_fields(bits, off_arr[ids], pqsq_bits, pbi)
-                fields = fields.astype(np.int64) - offset
-                pqs, sqs = fields[:, :L], fields[:, L:]
-                # Broadcasting multiply, not einsum: einsum does not preserve
-                # IEEE signed zeros (0.0 * -x -> +0.0), so it would break
-                # bit-identity with the per-block np.outer it replaces.
-                scaled_sq = sqs * 2.0 ** -(pbi - 1)
-                scaled_pq = pqs * binsize
-                body[ids] = (scaled_sq[:, :, None] * scaled_pq[:, None, :]).reshape(
-                    ids.size, N
-                )
+        for pbi, ids in pat_classes:
+            offset = np.int64(1) << (pbi - 1)
+            fields = gather_uint_fields(bits, off_arr[ids], pqsq_bits, pbi)
+            fields = fields.astype(np.int64) - offset
+            pqs, sqs = fields[:, :L], fields[:, L:]
+            # Broadcasting multiply, not einsum: einsum does not preserve
+            # IEEE signed zeros (0.0 * -x -> +0.0), so it would break
+            # bit-identity with the per-block np.outer it replaces.
+            scaled_sq = sqs * 2.0 ** -(pbi - 1)
+            scaled_pq = pqs * binsize
+            body[ids] = (scaled_sq[:, :, None] * scaled_pq[:, None, :]).reshape(
+                ids.size, N
+            )
 
         if dense_idx.size:
             body[dense_idx] += dense_mat * binsize
 
-        sp_ids = np.flatnonzero(sparse_mask)
-        if sp_ids.size:
-            for eb_max in np.unique(ecb_arr[sp_ids]):
-                ids = sp_ids[ecb_arr[sp_ids] == eb_max]
-                ebi = int(eb_max)
-                width = idx_bits + ebi
-                counts = sp_nol[ids]
-                total = int(counts.sum())
-                if total == 0:
-                    continue
-                first_entry = np.cumsum(counts) - counts
-                intra = np.arange(total, dtype=np.int64) - np.repeat(first_entry, counts)
-                starts = np.repeat(sp_off[ids], counts) + intra * width
-                packed = gather_uint_fields(bits, starts, 1, width).ravel()
-                idxs = (packed >> np.uint64(ebi)).astype(np.int64)
-                vals = (packed & np.uint64((1 << ebi) - 1)).astype(np.int64)
-                vals -= 1 << (ebi - 1)
-                bids = np.repeat(ids, counts)
-                if (idxs >= N).any():
-                    bad = int(bids[int(np.argmax(idxs >= N))])
-                    raise FormatError(f"outlier index out of range in block {bad}")
-                gpos = bids * N + idxs
-                # The compressor emits outliers in flatnonzero order, so
-                # indices must be strictly increasing within each block; a
-                # duplicate would otherwise be silently dropped by the
-                # scatter-add below.
-                bad_step = np.diff(gpos) <= 0
-                if bad_step.any():
-                    bad = int(bids[1 + int(np.argmax(bad_step))])
-                    raise FormatError(
-                        f"outlier indices not strictly increasing in block {bad}"
-                    )
-                flat[gpos] += vals * binsize
+        for ebi, ids in sp_classes:
+            width = idx_bits + ebi
+            counts = sp_nol[ids]
+            total = int(counts.sum())
+            if total == 0:
+                continue
+            first_entry = np.cumsum(counts) - counts
+            intra = np.arange(total, dtype=np.int64) - np.repeat(first_entry, counts)
+            starts = np.repeat(sp_off[ids], counts) + intra * width
+            packed = gather_uint_fields(bits, starts, 1, width).ravel()
+            idxs = (packed >> np.uint64(ebi)).astype(np.int64)
+            vals = (packed & np.uint64((1 << ebi) - 1)).astype(np.int64)
+            vals -= 1 << (ebi - 1)
+            bids = np.repeat(ids, counts)
+            if (idxs >= N).any():
+                bad = int(bids[int(np.argmax(idxs >= N))])
+                raise FormatError(f"outlier index out of range in block {bad}")
+            gpos = bids * N + idxs
+            # The compressor emits outliers in flatnonzero order, so
+            # indices must be strictly increasing within each block; a
+            # duplicate would otherwise be silently dropped by the
+            # scatter-add below.
+            bad_step = np.diff(gpos) <= 0
+            if bad_step.any():
+                bad = int(bids[1 + int(np.argmax(bad_step))])
+                raise FormatError(
+                    f"outlier indices not strictly increasing in block {bad}"
+                )
+            flat[gpos] += vals * binsize
 
         if hdr.n_tail:
             r.seek(body_end)

@@ -2,7 +2,7 @@
 
 Layout (all fields MSB-first in one contiguous bitstream)::
 
-    global header:
+    global header (256 bits = 32 bytes):
         magic        32 bits   'PSTR'
         version       8 bits   2 (written); 1 and 2 are read
         tree_id       4 bits
@@ -40,15 +40,20 @@ before it, so the index pass walks scalar fields only and the decoder
 reads all dense segments in one batched pass (see
 :mod:`repro.core.trees`).  Both versions spend exactly the same bits.
 
+Every global-header field ends on a byte boundary, so the header is one
+big-endian ``struct`` (``>IBBd4HHII``: tree_id and metric share a byte,
+n_blocks is split into its high 16 and low 32 bits) and the block fields
+start at byte 32.
+
 The per-block metadata is the paper's "tiny portion of the output data,
 typically less than 0.5%, [of] bookkeeping bits".
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
-from repro.bitio import BitReader, BitWriter
 from repro.core.blocking import BlockSpec
 from repro.core.scaling import ScalingMetric
 from repro.core.trees import TREE_IDS
@@ -73,12 +78,14 @@ _METRIC_ORDER = [m for m in ScalingMetric]
 BLOCK_HEADER_BITS_PATTERNED = 2 + 6 + 6 + 1  # kind + P_b + EC_b,max + sparse flag
 BLOCK_HEADER_BITS_SIMPLE = 2
 
+_LAYOUT = struct.Struct(">IBBd4HHII")
+
 
 @dataclass(frozen=True)
 class StreamHeader:
     """Parsed global header of a PaSTRI stream.
 
-    ``version`` is what :func:`read_header` found; :func:`write_header`
+    ``version`` is what :func:`unpack_header` found; :func:`pack_header`
     writes only :data:`VERSION`, the one layout this build emits.
     """
 
@@ -91,53 +98,54 @@ class StreamHeader:
     version: int = VERSION
 
     #: Size of the global header in bits.
-    NBITS = 32 + 8 + 4 + 4 + 64 + 4 * 16 + 48 + 32
+    NBITS = 8 * _LAYOUT.size
 
 
-def write_header(w: BitWriter, hdr: StreamHeader) -> None:
-    """Serialise the global header."""
-    if any(d >= (1 << 16) for d in hdr.spec.dims):
-        raise ParameterError("block dims exceed the 16-bit header fields")
+def pack_header(hdr: StreamHeader) -> bytes:
+    """Serialise the global header to its 32 bytes."""
     if hdr.version != VERSION:
         raise ParameterError(
             f"this build writes PaSTRI stream version {VERSION}, not {hdr.version}"
         )
-    w.write_uint(MAGIC, 32)
-    w.write_uint(VERSION, 8)
-    w.write_uint(hdr.tree_id, 4)
-    w.write_uint(_METRIC_ORDER.index(hdr.metric), 4)
-    w.write_double(hdr.error_bound)
-    for d in hdr.spec.dims:
-        w.write_uint(d, 16)
-    w.write_uint(hdr.n_blocks, 48)
-    w.write_uint(hdr.n_tail, 32)
+    try:
+        return _LAYOUT.pack(
+            MAGIC, VERSION, (hdr.tree_id << 4) | _METRIC_ORDER.index(hdr.metric),
+            hdr.error_bound, *hdr.spec.dims,
+            hdr.n_blocks >> 32, hdr.n_blocks & 0xFFFFFFFF, hdr.n_tail,
+        )
+    except struct.error as exc:
+        raise ParameterError(
+            "stream header field out of range (block dims < 2^16, "
+            f"n_blocks < 2^48, n_tail < 2^32): {exc}"
+        ) from None
 
 
-def read_header(r: BitReader) -> StreamHeader:
-    """Parse and validate the global header."""
-    if r.read_uint(32) != MAGIC:
+def unpack_header(buf) -> StreamHeader:
+    """Parse and validate the global header at the start of ``buf``."""
+    if len(buf) < _LAYOUT.size:
+        raise FormatError(
+            f"truncated PaSTRI header: need {_LAYOUT.size} bytes, have {len(buf)}"
+        )
+    (magic, version, tree_metric, eb, n1, n2, n3, n4,
+     nb_hi, nb_lo, n_tail) = _LAYOUT.unpack_from(buf)
+    if magic != MAGIC:
         raise FormatError("not a PaSTRI stream (bad magic)")
-    version = r.read_uint(8)
     if version not in READ_VERSIONS:
         raise FormatError(f"unsupported PaSTRI stream version {version}")
-    tree_id = r.read_uint(4)
+    tree_id, metric_idx = tree_metric >> 4, tree_metric & 0xF
     if tree_id not in TREE_IDS:
         raise FormatError(f"bad tree id {tree_id}")
-    metric_idx = r.read_uint(4)
     if metric_idx >= len(_METRIC_ORDER):
         raise FormatError(f"bad metric index {metric_idx}")
-    eb = r.read_double()
     if not (eb > 0):
         raise FormatError(f"bad error bound {eb}")
-    dims = tuple(r.read_uint(16) for _ in range(4))
+    dims = (n1, n2, n3, n4)
     if 0 in dims:
         raise FormatError(f"bad block dims {dims}")
-    n_blocks = r.read_uint(48)
-    n_tail = r.read_uint(32)
     return StreamHeader(
         error_bound=eb,
-        spec=BlockSpec(dims),  # type: ignore[arg-type]
-        n_blocks=n_blocks,
+        spec=BlockSpec(dims),
+        n_blocks=(nb_hi << 32) | nb_lo,
         n_tail=n_tail,
         tree_id=tree_id,
         metric=_METRIC_ORDER[metric_idx],

@@ -1025,7 +1025,10 @@ class CompressedERIStore:
         actually followed this key before), then class-adjacent neighbors.
         Runs under the store lock on the miss path; each prefetched array
         lands in the cache's admission window, where it survives exactly
-        long enough for the near-term access that justified it.
+        long enough for the near-term access that justified it.  A
+        candidate that fails to fetch or decode is skipped: its error
+        belongs to a get of that key, not to the healthy get that
+        speculated on it.
         """
         succ = self.stats.seq_profile.get(key, {})
         candidates = sorted(succ, key=succ.get, reverse=True)
@@ -1042,8 +1045,10 @@ class CompressedERIStore:
                 continue
             if cand not in self.backend:
                 continue
-            entry = self.backend.get(cand)
-            arr = self.codec.decompress(entry.blob)
+            try:
+                arr = self.codec.decompress(self.backend.get(cand).blob)
+            except FormatError:
+                continue
             self._array_insert(cand, arr)
             self._prefetched.add(cand)
             self.stats.bump("readahead_issued")

@@ -199,6 +199,10 @@ class HuffmanCode:
             lengths[syms] = (packed & np.uint64(31)).astype(np.int64)
         else:
             lengths = r.read_uint_array(n, 5).astype(np.int64)
-        if lengths.max(initial=0) > 31 or not (lengths > 0).any():
+        # No length may exceed what code_lengths emits for this many present
+        # symbols: a corrupt one would size decode()'s 2^max_len tables.
+        present = int(np.count_nonzero(lengths))
+        limit = max(MAX_CODE_LEN, int(np.ceil(np.log2(max(present, 2)))))
+        if present == 0 or int(lengths.max()) > limit:
             raise FormatError("corrupt Huffman table")
         return cls(lengths=lengths, codes=canonical_codes(lengths))

@@ -38,13 +38,17 @@ def make_class_block(
     kind: str, rng: np.random.Generator, dims: tuple[int, int, int, int]
 ) -> np.ndarray:
     """One ``(num_sb, sb_size)`` block that PaSTRI codes as ``kind`` at
-    EB >= 1e-12: ``zero``, ``raw`` (incompressible), ``dense`` ECQ, or
-    ``sparse`` ECQ (a patterned block plus a few large point deviations).
+    EB >= 1e-12: ``zero``, ``raw`` (incompressible), ``no_ecq`` (patterned
+    with EC_b,max <= 1: every value is far inside the bound), ``dense``
+    ECQ, or ``sparse`` ECQ (a patterned block plus a few large point
+    deviations).
     """
     spec = BlockSpec(dims)
     M, L = spec.num_sb, spec.sb_size
     if kind == "zero":
         return np.zeros((M, L))
+    if kind == "no_ecq":
+        return 1e-13 * rng.uniform(-1.0, 1.0, (M, L))
     if kind == "raw":
         return rng.standard_normal((M, L)) * 1e6  # incompressible at tight EB
     base = 1e-7 * rng.standard_normal((M, 1)) * rng.standard_normal((1, L))

@@ -202,14 +202,13 @@ def _sparse_stream(entries):
     from repro.core.blocking import BlockSpec
 
     spec = BlockSpec(DIMS)
-    w = BitWriter()
-    fmt.write_header(
-        w,
+    head = fmt.pack_header(
         fmt.StreamHeader(
             error_bound=EB, spec=spec, n_blocks=1, n_tail=0,
             tree_id=5, metric=ScalingMetric.ER,
         ),
     )
+    w = BitWriter()
     w.write_uint(fmt.KIND_PATTERNED, 2)
     w.write_uint(1, 6)  # P_b = 1
     for _ in range(spec.sb_size + spec.num_sb):
@@ -220,7 +219,7 @@ def _sparse_stream(entries):
     idx_bits = (spec.block_size - 1).bit_length()
     for idx, val in entries:
         w.write_uint((idx << 2) | (val + 2), idx_bits + 2)
-    return w.getvalue()
+    return head + w.getvalue()
 
 
 def test_sparse_increasing_indices_accepted():

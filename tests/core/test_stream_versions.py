@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bitio import BitReader
 from repro.core import PaSTRICompressor
 from repro.core import header as fmt
 from repro.errors import FormatError
@@ -48,7 +47,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 @pytest.mark.parametrize("name", CASES)
 def test_v1_fixture_decodes_bit_identically(name):
     codec, _, blob, expected = _case(name)
-    assert fmt.read_header(BitReader(blob)).version == 1
+    assert fmt.unpack_header(blob).version == 1
     assert _same_bits(codec.decompress(blob), expected)
     assert _same_bits(codec.decompress(blob), expected)  # memoised parse
 
@@ -58,7 +57,7 @@ def test_v2_roundtrip_matches_v1_output(name):
     """Same codewords reordered: same length, same reconstruction."""
     codec, data, v1_blob, expected = _case(name)
     blob = codec.compress(data, EB)
-    assert fmt.read_header(BitReader(blob)).version == 2
+    assert fmt.unpack_header(blob).version == 2
     assert len(blob) == len(v1_blob)
     assert _same_bits(PaSTRICompressor(dims=(1, 1, 1, 1)).decompress(blob), expected)
 
@@ -75,13 +74,13 @@ def test_mixed_fixture_covers_every_block_class():
 
 def test_header_version_roundtrip_and_rejects():
     blob = PaSTRICompressor(dims=(3, 3, 3, 3)).compress(FIXTURES["mixed_input"], EB)
-    hdr = fmt.read_header(BitReader(blob))
+    hdr = fmt.unpack_header(blob)
     assert hdr.version == fmt.VERSION == 2
     for bad in (0, 3, 255):
         raw = bytearray(blob)
         raw[4] = bad
         with pytest.raises(FormatError, match="version"):
-            fmt.read_header(BitReader(bytes(raw)))
+            fmt.unpack_header(bytes(raw))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Class-adjacent + profile-driven readahead: issuance and accounting."""
 
 import numpy as np
+import pytest
 
 from repro.core import PaSTRICompressor
+from repro.errors import FormatError
 from repro.pipeline import CompressedERIStore
 from tests.conftest import make_patterned_stream
 
@@ -107,3 +109,16 @@ def test_readahead_counts_surface_in_cache_report(rng):
     report = store.format_cache_report()
     assert "readahead" in report
     assert "issued" in report and "useful" in report
+
+
+def test_corrupt_neighbor_does_not_fail_a_healthy_get(rng):
+    keys = [(0, 0, 0, 0), (0, 0, 0, 1)]
+    store, data = make_store(rng, keys, depth=2)
+    blob, nbytes, dims = store.get_blob(keys[1])
+    store.put_blob(keys[1], blob[: len(blob) // 2], nbytes, dims=dims)
+    out = store.get(keys[0])  # speculates on the truncated neighbour
+    assert np.max(np.abs(out - data[keys[0]])) <= EB
+    assert store.stats.readahead_issued == 0
+    assert keys[1] not in store._hot_arrays
+    with pytest.raises(FormatError):
+        store.get(keys[1])  # the error surfaces where the key is read

@@ -6,6 +6,9 @@ Two invariant families:
   / dense / tail) must round-trip within the bound, with exact tails, a
   consistent ``StreamStats`` bit accounting, and identical output on warm
   (memoised index pass) re-decodes.
+* **Class batching** — a block decodes to the same bits alone in a
+  one-block stream as in the middle of a stream whose other blocks join
+  its class batches, for every block class, tree and geometry.
 * **Kernel level** — the planar emitter must emit exactly the bits of the
   per-block :func:`encode_ecq` codewords, reordered prefix plane by prefix
   plane and then tails; the batched planar decoder must invert it; and the
@@ -13,11 +16,13 @@ Two invariant families:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitio import FieldScanner
 from repro.core import PaSTRICompressor
+from repro.core import header as fmt
 from repro.core.blocking import BlockSpec
 from repro.core.trees import (
     decode_ecq_planar,
@@ -66,6 +71,45 @@ def test_random_class_mix_roundtrips(kinds, n_tail, seed, eb):
         assert np.array_equal(out[-n_tail:], data[-n_tail:])
     # warm re-decode (memoised index pass) must be indistinguishable
     assert np.array_equal(codec.decompress(blob), out)
+
+
+#: Every block class, a patterned block without ECQ included.
+_ALL_CLASSES = ("zero", "raw", "no_ecq", "sparse", "dense")
+
+
+def _decoded_class(codec: PaSTRICompressor, blob: bytes, b: int) -> str:
+    """The class the index pass of ``blob`` gave block ``b``."""
+    kinds, ecb, sparse, dense = (codec._parse_cache[blob][i] for i in (0, 2, 6, 7))
+    if kinds[b] != fmt.KIND_PATTERNED:
+        return "zero" if kinds[b] == fmt.KIND_ZERO else "raw"
+    if sparse[b]:
+        return "sparse"
+    return "dense" if b in dense else "no_ecq"
+
+
+@pytest.mark.parametrize("dims", [(6, 6, 6, 6), (10, 10, 10, 10)])
+@pytest.mark.parametrize("tree_id", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", _ALL_CLASSES)
+@given(
+    before=st.lists(st.sampled_from(_ALL_CLASSES), min_size=1, max_size=3),
+    after=st.lists(st.sampled_from(_ALL_CLASSES), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=4, deadline=None, derandomize=True)
+def test_one_block_stream_decodes_like_a_middle_block(
+    kind, tree_id, dims, before, after, seed
+):
+    rng = np.random.default_rng(seed)
+    blocks = [make_class_block(k, rng, dims) for k in before + [kind] + after]
+    codec = PaSTRICompressor(dims=dims, tree_id=tree_id)
+    one_blob = codec.compress(blocks[len(before)].reshape(-1), 1e-10)
+    one = codec.decompress(one_blob)
+    assert _decoded_class(codec, one_blob, 0) == kind
+    many_blob = codec.compress(np.stack(blocks).reshape(-1), 1e-10)
+    many = codec.decompress(many_blob)
+    assert _decoded_class(codec, many_blob, len(before)) == kind
+    mid = many[len(before) * one.size : (len(before) + 1) * one.size]
+    assert np.array_equal(one.view(np.uint64), mid.view(np.uint64))
 
 
 ecq_rows = st.lists(
