@@ -9,8 +9,8 @@ residuals relative to per-block patterns.
 import numpy as np
 
 from benchmarks.conftest import paper_vs_measured
-from repro.core.quantize import ec_b_max, quantize_block
-from repro.core.scaling import ScalingMetric, fit_pattern
+from repro.core.quantize import quantize_blocks
+from repro.core.scaling import ScalingMetric, fit_pattern_batch
 
 
 def bench_ablation_pattern_dictionary(benchmark, dd_dataset):
@@ -20,21 +20,20 @@ def bench_ablation_pattern_dictionary(benchmark, dd_dataset):
     live = blocks[amps > 1e-9][:100]
 
     def measure():
-        own_ecb, shared_ecb = [], []
-        prev_pattern = None
-        for blk in live:
-            fit = fit_pattern(blk, ScalingMetric.ER)
-            own = quantize_block(blk, fit.pattern, fit.scales, eb)
-            own_ecb.append(own.ec_b_max)
-            if prev_pattern is not None and prev_pattern.size == fit.pattern.size:
-                ref = np.argmax(np.abs(prev_pattern))
-                denom = prev_pattern[ref]
-                scales = blk[:, ref] / denom if denom != 0 else np.zeros(blk.shape[0])
-                np.clip(scales, -1, 1, out=scales)
-                shared = quantize_block(blk, prev_pattern, scales, eb)
-                shared_ecb.append(shared.ec_b_max)
-            prev_pattern = fit.pattern
-        return np.mean(own_ecb), np.mean(shared_ecb)
+        rows = np.arange(live.shape[0])
+        p_idx, scales, _ = fit_pattern_batch(live, ScalingMetric.ER)
+        patterns = live[rows, p_idx]
+        own = quantize_blocks(live, patterns, scales, eb).ec_b_max
+        # A shared pattern is just another patterns row: each block reuses
+        # its predecessor's, scaled at that pattern's extremal column.
+        prev = patterns[:-1]
+        ref = np.argmax(np.abs(prev), axis=1)
+        denom = prev[rows[:-1], ref][:, None]
+        cols = live[1:][rows[:-1, None], np.arange(live.shape[1]), ref[:, None]]
+        safe = np.where(denom == 0, 1.0, denom)
+        shared_scales = np.clip(np.where(denom == 0, 0.0, cols / safe), -1, 1)
+        shared = quantize_blocks(live[1:], prev, shared_scales, eb).ec_b_max
+        return own.mean(), shared.mean()
 
     own_mean, shared_mean = benchmark.pedantic(measure, rounds=1, iterations=1)
     # sharing patterns across blocks inflates the EC width substantially

@@ -48,6 +48,7 @@ from repro.cluster.hints import HintLog
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, key_bytes
 from repro.errors import ParameterError, ProtocolError, ServiceError
 from repro.service import buffers, protocol
+from repro.service.server import hang_up
 from repro.telemetry import REGISTRY as _METRICS
 
 __all__ = ["GatewayConfig", "ClusterGateway", "GatewayHandle", "gateway_in_thread"]
@@ -281,6 +282,7 @@ class ClusterGateway:
         self._drain_tasks: set[asyncio.Task] = set()
         self._drain_active: set[str] = set()  # shards with a drain running
         self._tasks: set[asyncio.Task] = set()
+        self._conns: dict[asyncio.StreamWriter, asyncio.Task] = {}  # -> handler
         self._draining = False
         self._started = time.monotonic()
         self._stopped = asyncio.Event()
@@ -340,13 +342,16 @@ class ClusterGateway:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         if self._health_task is not None:
             self._health_task.cancel()
         for task in list(self._drain_tasks):
             task.cancel()
         if self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
+        # admitted work has replied: hang up, then wait_closed() can return
+        await hang_up(self._conns)
+        if self._server is not None:
+            await self._server.wait_closed()
         for pool in self._pools.values():
             await pool.close()
         self.hints.close()
@@ -453,6 +458,7 @@ class ClusterGateway:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         write_lock = asyncio.Lock()
+        self._conns[writer] = asyncio.current_task()
         try:
             while True:
                 try:
@@ -476,6 +482,7 @@ class ClusterGateway:
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
+            self._conns.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -4,7 +4,7 @@ Compression pipeline per full-sized block:
 
 1. fit the scaled pattern with the configured metric (default ER),
 2. quantize pattern (``P_binsize = 2·EB``), scales (``S_b = P_b``) and the
-   residual ECQ codes (§IV-B),
+   residual ECQ codes (§IV-B, :func:`repro.core.quantize.quantize_blocks`),
 3. choose dense (tree-coded) or sparse (index+value) ECQ representation,
    or fall back to verbatim storage if patterned coding would not pay,
 4. emit the bitstream (format in :mod:`repro.core.header`).
@@ -37,7 +37,14 @@ from repro.bitio import (
 from repro.core import header as fmt
 from repro.core.blocking import BlockSpec, split_blocks
 from repro.core.classify import BlockType
-from repro.core.quantize import MAX_FIELD_BITS, ecq_bin_numbers, working_binsize
+from repro.core.quantize import (
+    MAX_ECB,
+    MAX_FIELD_BITS,
+    ecq_bin_numbers,
+    pattern_products,
+    quantize_blocks,
+    working_binsize,
+)
 from repro.core.scaling import ScalingMetric, fit_pattern_batch
 from repro.core.stats import BlockRecord, StreamStats
 from repro.core.trees import (
@@ -51,27 +58,9 @@ from repro.core.trees import (
 )
 from repro.errors import FormatError, ParameterError
 
-#: EC_b,max above which a block is stored raw (never hit by ERI data; the
-#: paper reports EC_b,max <= 22 at EB = 1e-10).
-MAX_ECB = 40
-
-
 #: Parse-cache entries kept per codec (each holds its blob plus the index
 #: arrays; two covers the common compress→verify→re-read loop).
 _PARSE_CACHE_MAX = 2
-
-
-def _float_bit_length(values: np.ndarray) -> np.ndarray:
-    """Vectorised ``int.bit_length`` for non-negative integer-valued floats.
-
-    Exact for values below 2^53; above that, exact whenever the float is (as
-    here) a rounded representation whose exponent alone decides the width.
-    """
-    out = np.zeros(values.shape, dtype=np.int64)
-    nz = values > 0
-    if nz.any():
-        out[nz] = np.frexp(values[nz])[1]
-    return out
 
 
 def _block_types(ecb: np.ndarray) -> np.ndarray:
@@ -273,55 +262,21 @@ class PaSTRICompressor:
         # (overwritten) the ECQ magnitude moments below.
         abs3d = np.abs(blocks3d)
         p_idx, scales, degenerate = fit_pattern_batch(blocks3d, self.metric, abs3d=abs3d)
-        zero_block = abs3d.reshape(n_blocks, N).max(axis=1) == 0.0
-        patterns = blocks3d[rows, p_idx]
-        binsize = working_binsize(eb)
-        pq_f = np.rint(patterns / binsize)
-        pq_ext_f = np.abs(pq_f).max(axis=1)
-        p_b = 1 + _float_bit_length(pq_ext_f)
-        # Blocks whose pattern grid would overflow the field width are stored
-        # raw; zero their rows before the int64 cast to avoid UB.
-        raw_p = p_b > MAX_FIELD_BITS
-        if raw_p.any():
-            pq_f[raw_p] = 0.0
-            p_b[raw_p] = 1
-        pq = pq_f.astype(np.int64)
-
-        half = np.exp2(p_b - 1)  # exact: powers of two
-        half_int = np.left_shift(np.int64(1), p_b - 1)
-        sq = np.rint(scales * half[:, None]).astype(np.int64)
-        np.clip(sq, -half_int[:, None], half_int[:, None] - 1, out=sq)
-        approx = (sq / half[:, None])[:, :, None] * (pq * binsize)[:, None, :]
-        # The residual quantisation reuses `approx` as scratch: each step
-        # applies the exact same FP op sequence as the naive expression, so
-        # the quantised values (and the stream) are unchanged.
-        ecq_f = np.subtract(blocks3d, approx, out=approx)
-        np.divide(ecq_f, binsize, out=ecq_f)
-        np.rint(ecq_f, out=ecq_f)
-        abs_f = np.abs(ecq_f, out=abs3d).reshape(n_blocks, N)
-        ecq_ext_f = abs_f.max(axis=1)
-        ecb = np.where(ecq_ext_f == 0, 1, _float_bit_length(ecq_ext_f) + 1)
-        raw_e = ecb > MAX_ECB
-        if raw_e.any():
-            ecq_f[raw_e] = 0.0
-        # int32 halves the cast and every downstream gather whenever the
-        # residuals fit (always, on ERI data: the paper sees EC_b,max <= 22).
-        # Raw rows are zeroed above, so only surviving rows bound the width.
-        ecq_dt = np.int32 if int(ecb[~raw_e].max(initial=1)) <= 31 else np.int64
-        ecq2d = ecq_f.astype(ecq_dt).reshape(n_blocks, N)
-        force_raw = raw_p | raw_e
+        amax = abs3d.reshape(n_blocks, N).max(axis=1)
+        zero_block = amax == 0.0
+        q = quantize_blocks(
+            blocks3d, blocks3d[rows, p_idx], scales, eb, amax=amax, scratch=abs3d
+        )
+        pq, sq, p_b, ecq2d, ecb = q.pq, q.sq, q.p_b, q.ecq, q.ec_b_max
+        force_raw = q.raw
 
         # Magnitude moments from the float residuals (integer-exact for
         # quantised values): nnz and sum(min(|v|, 2)) drive both the outlier
         # count and the dense-size formula for the fixed-shape trees.
-        # raw_e rows were zeroed only in ecq2d, so patch their moments.
-        nnz_f = np.count_nonzero(abs_f, axis=1)
+        abs_f = q.ecq_abs
+        nol = np.count_nonzero(abs_f, axis=1)
         np.minimum(abs_f, 2.0, out=abs_f)
         s_f = abs_f.sum(axis=1)
-        if raw_e.any():
-            nnz_f[raw_e] = 0
-            s_f[raw_e] = 0.0
-        nol = nnz_f.astype(np.int64)
         idx_bits = max(1, (N - 1).bit_length())
         nol_bits = N.bit_length()
         sparse_bits = nol_bits + nol * (idx_bits + ecb)
@@ -667,18 +622,11 @@ class PaSTRICompressor:
                 body[ids] = u.view(np.float64)
 
         for pbi, ids in pat_classes:
-            offset = np.int64(1) << (pbi - 1)
+            offset = np.int64(1) << (pbi - 1)  # also 2^(P_b-1) of Eq. 10
             fields = gather_uint_fields(bits, off_arr[ids], pqsq_bits, pbi)
             fields = fields.astype(np.int64) - offset
-            pqs, sqs = fields[:, :L], fields[:, L:]
-            # Broadcasting multiply, not einsum: einsum does not preserve
-            # IEEE signed zeros (0.0 * -x -> +0.0), so it would break
-            # bit-identity with the per-block np.outer it replaces.
-            scaled_sq = sqs * 2.0 ** -(pbi - 1)
-            scaled_pq = pqs * binsize
-            body[ids] = (scaled_sq[:, :, None] * scaled_pq[:, None, :]).reshape(
-                ids.size, N
-            )
+            approx = pattern_products(fields[:, :L], fields[:, L:], offset, binsize)
+            body[ids] = approx.reshape(ids.size, N)
 
         if dense_idx.size:
             body[dense_idx] += dense_mat * binsize

@@ -11,16 +11,20 @@ The compressed block stores three quantized streams:
 * ``ECQ`` — error-correction codes, ``round(dev / (2·EB))`` (Eq. 5 with
   ``ECQ_binsize = 2·EB``).
 
-Correctness is *by construction*: ECQ is computed against the actual
-quantized reconstruction ``SQ·S_binsize × PQ·P_binsize``, so the point-wise
-bound ``|x - x'| <= EB`` holds for every input, independent of how well the
-bit-width analysis predicts the residual magnitudes.  The analysis (Eq. 23)
-only governs how *large* the ECQ values — and hence the output — get.
+:func:`quantize_blocks` is the one implementation of this calculus: the
+compressor runs it over every block of a stream at once.  ECQ is computed
+against :func:`pattern_products` — Eq. 10 as the decompressor evaluates
+it, float op for float op — so ``|x - x'| <= EB`` holds whatever the
+bit-width analysis (Eq. 23) predicts; the analysis only governs how
+*large* the ECQ values, and hence the output, get.  float64 rounding in
+the reconstruction stays inside the bin deflation below ``2^40·EB``;
+from there on each block is rebuilt as the decompressor will and stored
+raw if it misses the bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,12 +42,20 @@ def working_binsize(eb: float) -> float:
     return 2.0 * eb * BIN_DEFLATION
 
 
-#: Hard cap on per-value bit widths; blocks needing more fall back to raw
-#: 64-bit storage.  Beyond ~2^46 grid steps the float64 reconstruction
-#: arithmetic itself rounds by more than the bound (ulp(x) approaches EB),
-#: so patterned coding cannot honour the contract — raw storage (exact)
-#: takes over.  Never triggered by realistic ERI data/EB combinations.
+#: Hard cap on P_b, which the decoder enforces; blocks needing more fall
+#: back to raw 64-bit storage.  Near 2^46 grid steps ulp(x) approaches EB,
+#: so no patterned block could keep the bound there anyway.
 MAX_FIELD_BITS = 46
+
+#: EC_b,max above which a block is stored raw (never hit by ERI data; the
+#: paper reports EC_b,max <= 22 at EB = 1e-10).
+MAX_ECB = 40
+
+#: max|x| / EB from which :func:`quantize_blocks` rebuilds a block to
+#: check the bound.  float64 rounding in the reconstruction adds at most
+#: about 7·max|x|·2^-53 to the error, which stays under the 2^-10·EB the
+#: bin deflation leaves while max|x| < 2^40·EB; ERI blocks sit far below.
+CHECKED_MAGNITUDE = 2.0**40
 
 
 def bits_for_symmetric_range(ext: int) -> int:
@@ -59,63 +71,12 @@ def bits_for_symmetric_range(ext: int) -> int:
     return 1 + int(ext).bit_length()
 
 
-def quantize_pattern(pattern: np.ndarray, eb: float) -> tuple[np.ndarray, int]:
-    """Quantize the pattern on the ``2·EB`` grid; return ``(PQ, P_b)``.
-
-    ``P_b`` follows Eq. 8 with ``P_binsize = 2·EB``: the number of bits
-    needed for the signed range ``[-PQ_ext, PQ_ext]``.
-    """
-    pq = np.rint(pattern / working_binsize(eb)).astype(np.int64)
-    ext = int(np.abs(pq).max(initial=0))
-    return pq, bits_for_symmetric_range(ext)
-
-
-def quantize_scales(scales: np.ndarray, s_b: int) -> np.ndarray:
-    """Quantize coefficients in ``[-1, 1]`` to ``S_b``-bit signed integers.
-
-    ``S_binsize = 2^-(S_b - 1)`` (Eq. 9 with ``S_ext = 1``).  ``S = +1``
-    would land on ``2^(S_b-1)``, one past the two's-complement maximum; it is
-    clamped and the ≤ one-bin slack is absorbed by the EC codes (paper:
-    "EC should accommodate for only 2 more bins", Eq. 23).
-    """
-    hi = (1 << (s_b - 1)) - 1
-    lo = -(1 << (s_b - 1))
-    sq = np.rint(scales * (1 << (s_b - 1))).astype(np.int64)
-    return np.clip(sq, lo, hi)
-
-
-def dequantize_pattern(pq: np.ndarray, eb: float) -> np.ndarray:
-    """Inverse of :func:`quantize_pattern`."""
-    return pq.astype(np.float64) * working_binsize(eb)
-
-
-def dequantize_scales(sq: np.ndarray, s_b: int) -> np.ndarray:
-    """Inverse of :func:`quantize_scales`."""
-    return sq.astype(np.float64) * (2.0 ** -(s_b - 1))
-
-
-def reconstruct_block(pq: np.ndarray, sq: np.ndarray, eb: float, s_b: int) -> np.ndarray:
-    """Scaled-pattern approximation (Eq. 10): outer(SQ·S_bin, PQ·P_bin)."""
-    return np.outer(dequantize_scales(sq, s_b), dequantize_pattern(pq, eb))
-
-
-def error_correction_codes(
-    block2d: np.ndarray, approx2d: np.ndarray, eb: float
-) -> np.ndarray:
-    """ECQ = round(dev / (2·EB)) against the *quantized* reconstruction (Eq. 5)."""
-    return np.rint((block2d - approx2d) / working_binsize(eb)).astype(np.int64)
-
-
-def apply_error_correction(approx2d: np.ndarray, ecq2d: np.ndarray, eb: float) -> np.ndarray:
-    """Decompression side of Eq. 10: add ``ECQ · 2·EB`` back."""
-    return approx2d + ecq2d.astype(np.float64) * working_binsize(eb)
-
-
 def ecq_bin_numbers(ecq: np.ndarray) -> np.ndarray:
     """Fig. 6 binning: bits needed per value — 0→1, ±1→2, ±[2,3]→3, ...
 
     ``i`` bits represent the range ±[2^(i-2), 2^(i-1) - 1]; i.e.
-    ``bin(v) = floor(log2 |v|) + 2`` for v ≠ 0.
+    ``bin(v) = floor(log2 |v|) + 2`` for v ≠ 0.  Integer-valued floats
+    work too, which gives ``P_b`` and ``EC_b,max`` from their extremum.
     """
     a = np.abs(ecq)
     bins = np.ones(a.shape, dtype=np.int64)
@@ -127,50 +88,103 @@ def ecq_bin_numbers(ecq: np.ndarray) -> np.ndarray:
     return bins
 
 
-def ec_b_max(ecq: np.ndarray) -> int:
-    """Per-block ``EC_b,max`` — the largest Fig. 6 bin present."""
-    if ecq.size == 0:
-        return 1
-    ext = int(np.abs(ecq).max())
-    if ext == 0:
-        return 1
-    return ext.bit_length() + 1
+def pattern_products(
+    pq: np.ndarray, sq: np.ndarray, half: np.ndarray | int, binsize: float
+) -> np.ndarray:
+    """Eq. 10: each block's scaled pattern ``SQ·2^-(P_b-1) ⊗ PQ·bin``.
+
+    ``pq`` is ``(n, L)`` and ``sq`` ``(n, M)``; ``half`` is ``2^(P_b-1)``,
+    a ``(n, 1)`` column of one per block or one for all.  Returns
+    ``(n, M, L)`` float64.  Dividing by a power of two is exact.  The
+    compressor quantizes ECQ against this and the decompressor
+    reconstructs with it, so the two agree to the bit.  A broadcast
+    multiply, not ``einsum``, which does not preserve IEEE signed zeros
+    (0.0 * -x -> +0.0).
+    """
+    return (sq / half)[:, :, None] * (pq * binsize)[:, None, :]
 
 
-@dataclass(frozen=True)
-class BlockQuantization:
-    """All quantized streams for one block plus their bit widths."""
+class QuantizedBlocks(NamedTuple):
+    """:func:`quantize_blocks` output, one row per block."""
 
-    pq: np.ndarray  # int64, len = sb_size
-    sq: np.ndarray  # int64, len = num_sb
-    ecq: np.ndarray  # int64, shape (num_sb, sb_size)
-    p_b: int
-    s_b: int
-    ec_b_max: int
+    pq: np.ndarray  # (n, L) int64
+    sq: np.ndarray  # (n, M) int64
+    p_b: np.ndarray  # (n,) int64; S_b = P_b
+    ecq: np.ndarray  # (n, M·L) int32, or int64 if a kept row needs it
+    ec_b_max: np.ndarray  # (n,) int64
+    raw: np.ndarray  # (n,) bool: the block must be stored verbatim
+    ecq_abs: np.ndarray  # (n, M·L) float64 |ECQ|
 
 
-def quantize_block(
-    block2d: np.ndarray,
-    pattern: np.ndarray,
+def quantize_blocks(
+    blocks3d: np.ndarray,
+    patterns: np.ndarray,
     scales: np.ndarray,
     eb: float,
-) -> BlockQuantization:
-    """Run the full §IV-B pipeline on one block.
+    amax: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> QuantizedBlocks:
+    """Run the §IV-B pipeline over a batch of blocks.
 
-    Pattern binsize is pinned at ``2·EB``; ``S_b = P_b`` (the paper's
-    practical method); ECQ is computed against the exact reconstruction the
-    decompressor will build, guaranteeing the error bound.
+    ``blocks3d`` is ``(n, M, L)``; ``patterns`` ``(n, L)`` and ``scales``
+    ``(n, M)`` hold each block's fit (a shared pattern is just a repeated
+    row).  The pattern binsize is pinned at ``2·EB`` and ``P_b`` follows
+    Eq. 8; the scales go on the ``2^-(S_b-1)`` grid with ``S_b = P_b``,
+    where ``S = +1`` is clamped one bin down and the slack is absorbed by
+    ECQ (paper: "EC should accommodate for only 2 more bins", Eq. 23).
 
-    Precondition: ``max|block| / EB < 2^MAX_FIELD_BITS`` — beyond that the
-    float64 reconstruction rounds by more than EB and the caller must store
-    the block raw (the compressor's fallback does exactly this).
+    ``raw`` flags the blocks patterned coding cannot store: ``P_b`` above
+    :data:`MAX_FIELD_BITS` (their ``pq`` rows are zeroed), ``EC_b,max``
+    above :data:`MAX_ECB` (``ecq`` and ``ecq_abs`` rows zeroed), and —
+    checked only where ``max|x| >= CHECKED_MAGNITUDE·EB`` — a rebuilt
+    block more than EB off.  ``amax`` passes each block's ``max|x|`` when
+    the caller has it; ``scratch``, a float64 buffer shaped like
+    ``blocks3d``, is overwritten to hold ``ecq_abs``.
     """
-    pq, p_b = quantize_pattern(pattern, eb)
-    s_b = p_b
-    sq = quantize_scales(scales, s_b)
-    approx = reconstruct_block(pq, sq, eb, s_b)
-    ecq = error_correction_codes(block2d, approx, eb)
-    return BlockQuantization(pq=pq, sq=sq, ecq=ecq, p_b=p_b, s_b=s_b, ec_b_max=ec_b_max(ecq))
+    n, M, L = blocks3d.shape
+    N = M * L
+    binsize = working_binsize(eb)
+    pq_f = np.rint(patterns / binsize)
+    p_b = ecq_bin_numbers(np.abs(pq_f).max(axis=1))
+    # Zero the rows that overflow the field width before the int64 cast.
+    raw = p_b > MAX_FIELD_BITS
+    if raw.any():
+        pq_f[raw] = 0.0
+        p_b[raw] = 1
+    pq = pq_f.astype(np.int64)
+
+    half = np.left_shift(np.int64(1), p_b - 1)[:, None]
+    sq = np.rint(scales * half).astype(np.int64)
+    np.clip(sq, -half, half - 1, out=sq)
+    approx = pattern_products(pq, sq, half, binsize)
+    # The residual quantisation reuses `approx` as scratch: each step
+    # applies the exact same FP op sequence as the naive expression.
+    ecq_f = np.subtract(blocks3d, approx, out=approx)
+    np.divide(ecq_f, binsize, out=ecq_f)
+    np.rint(ecq_f, out=ecq_f)
+    ecq_abs = np.abs(ecq_f, out=scratch).reshape(n, N)
+    ecb = ecq_bin_numbers(ecq_abs.max(axis=1))
+
+    if amax is None:
+        amax = np.abs(blocks3d).reshape(n, N).max(axis=1)
+    big = np.flatnonzero(amax >= CHECKED_MAGNITUDE * eb)
+    if big.size:  # rebuild as the decompressor will; NaN counts as a miss
+        recon = pattern_products(pq[big], sq[big], half[big], binsize)
+        recon += ecq_f[big] * binsize
+        within = np.abs(blocks3d[big] - recon) <= eb
+        raw[big[~within.reshape(big.size, N).all(axis=1)]] = True
+
+    raw_e = ecb > MAX_ECB
+    if raw_e.any():
+        ecq_f[raw_e] = 0.0
+        ecq_abs[raw_e] = 0.0
+        raw |= raw_e
+    # int32 halves the cast and every downstream gather whenever the
+    # residuals fit (always, on ERI data: the paper sees EC_b,max <= 22).
+    # Rows zeroed above do not bound the width.
+    ecq_dt = np.int32 if int(ecb[~raw_e].max(initial=1)) <= 31 else np.int64
+    ecq = ecq_f.astype(ecq_dt).reshape(n, N)
+    return QuantizedBlocks(pq, sq, p_b, ecq, ecb, raw, ecq_abs)
 
 
 def theoretical_lower_bound_ecb(dev_ext: float, eb: float) -> int:

@@ -21,8 +21,8 @@ Stream version 2 lays each dense segment out *planar* — the same
 codewords, prefix bits plane by plane, then tails — so segment lengths
 follow from popcounts and every segment of a stream decodes in one batched
 pass (:func:`encode_ecq_planar`, :func:`decode_ecq_planar`).  Version-1
-segments hold the codewords back to back; :class:`ECQDecoder` still reads
-them with the vectorised pointer-jumping prefix decoder.
+segments hold the codewords back to back; :class:`ECQDecoder` reads them
+one at a time with :func:`decode_ecq`'s prefix scan under adaptive bounds.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 from repro.bitio.reader import FieldScanner
 from repro.bitio.vlc import decode_prefix_stream, gather_bit_windows, gather_bit_windows_var
 from repro.bitio.writer import varlen_bits
+from repro.core.quantize import ecq_bin_numbers
 from repro.errors import FormatError, ParameterError
 
 TREE_IDS = (1, 2, 3, 4, 5)
@@ -86,18 +87,8 @@ def _encode_tree3(ecq: np.ndarray, ecb: int) -> tuple[np.ndarray, np.ndarray]:
     return codes, lengths
 
 
-def _tree4_bins(ecq: np.ndarray) -> np.ndarray:
-    """Fig. 6 bin per value: 1 for 0, else bit_length(|v|) + 1."""
-    a = np.abs(ecq)
-    bins = np.ones(a.shape, dtype=np.int64)
-    nz = a > 0
-    if nz.any():
-        bins[nz] = np.frexp(a[nz].astype(np.float64))[1] + 1
-    return bins
-
-
 def _encode_tree4(ecq: np.ndarray, ecb: int) -> tuple[np.ndarray, np.ndarray]:
-    bins = _tree4_bins(ecq)
+    bins = ecq_bin_numbers(ecq)
     if int(bins.max(initial=1)) > ecb:
         raise ParameterError("ECQ value outside the EC_b range for tree 4")
     a = np.abs(ecq).astype(np.uint64)
@@ -180,7 +171,7 @@ def encoded_size_bits_batch(
     if tree_id == 2:
         return n0 + 2 * npos1 + 3 * nneg1 + (3 + ecb) * nother
     # tree 4
-    bins = _tree4_bins(ecq2d)
+    bins = ecq_bin_numbers(ecq2d)
     lengths = np.where(bins == ecb[:, None], 2 * (ecb[:, None] - 1), 2 * bins - 1)
     lengths = np.where(bins == 1, 1, lengths)
     return lengths.sum(axis=1)
@@ -227,7 +218,7 @@ def encoded_size_bits(ecq: np.ndarray, ecb: int, tree_id: int) -> int:
     if tree_id == 3:
         return n0 + 3 * n1 + (2 + ecb) * nother
     if tree_id == 4:
-        bins = _tree4_bins(ecq)
+        bins = ecq_bin_numbers(ecq)
         lengths = np.where(bins == ecb, 2 * (ecb - 1), 2 * bins - 1)
         lengths = np.where(bins == 1, 1, lengths)
         return int(lengths.sum())
@@ -281,7 +272,7 @@ def _planar_classes(
     if tree_id in (3, 5):
         one = np.abs(v) == 1
         return np.where(one, levels, 1), np.where(one, v < 0, v + half)
-    c = _tree4_bins(v) - 1  # tree 4: c ones, then c payload bits
+    c = ecq_bin_numbers(v) - 1  # tree 4: c ones, then c payload bits
     if (c > levels).any():
         raise ParameterError("ECQ value outside the EC_b range for tree 4")
     tail_half = np.left_shift(np.int64(1), c - 1)
@@ -474,196 +465,13 @@ def decode_ecq_planar(
 
 
 # ---------------------------------------------------------------------------
-# Version-1 decoding (interleaved codewords): vectorised prefix decode via
-# pointer jumping.
+# Version-1 decoding (interleaved codewords): a prefix scan — token lengths
+# at every offset of a bounded window, then pointer jumping.
 # ---------------------------------------------------------------------------
 
 
 def _max_token_len(ecb: int, tree_id: int) -> int:
     return {1: 1 + ecb, 2: 3 + ecb, 3: 3 + ecb, 4: 2 * (ecb - 1), 5: 3 + ecb}[tree_id]
-
-
-#: Rank-table pad for :func:`_decode_events`: must exceed the longest token
-#: of any event-decoded tree (3 + MAX_ECB for tree 2).
-_EVENT_PAD = 44
-
-
-def _decode_events(
-    bits: np.ndarray,
-    start: int,
-    n: int,
-    ecb: int,
-    tree_id: int,
-    bound: int,
-    packed: np.ndarray | None = None,
-) -> tuple[np.ndarray, int]:
-    """Sparse event-chain decode for trees whose zero token is a single 0.
-
-    Every tree encodes 0 as a lone ``0`` bit and starts every other token
-    with a ``1``, so the sequential token chain only *branches* at 1-bits:
-    runs of zero tokens between two 1-bits advance the chain for free.  We
-    therefore build the jump graph over the window's 1-bit positions
-    (``K = popcount(window)`` nodes, typically several times smaller than
-    the window) with per-edge token counts, rank it with blocked binary
-    lifting, and scatter the decoded nonzero values by their token index.
-    Handles trees 1, 2, 3 and tree 4 at EC_b = 2 (the tree-5 small-range
-    branch); generic tree 4 keeps the dense per-offset scan.
-
-    Note that not every 1-bit is a token head — escape payloads contain
-    arbitrary bits — but the chain only ever *lands* on true heads, so the
-    extra graph nodes are merely never visited.
-    """
-    window_end = start + bound
-    values = np.zeros(n, dtype=np.int64)
-    win = bits[start:window_end]
-    # Window-relative candidate head positions.  The bool view hits numpy's
-    # fast boolean nonzero path (~5x quicker than nonzero on uint8).
-    ones = win.view(np.bool_).nonzero()[0]
-    k = ones.size
-    if k == 0 or ones[0] >= n:
-        # The first n tokens are all zero bits.
-        end = start + n
-        if end > window_end:
-            raise FormatError("ECQ segment overruns its bound")
-        return values, end
-
-    # Token length at each candidate head.  When the stream extends past the
-    # window the lookahead is a free shifted slice; otherwise reads are
-    # clamped to the window — a clamped (possibly misread) length only ever
-    # belongs to a token that overruns the window, and such a token — if it
-    # is among the first n — fails the end check below.
-    if start + bound + 2 <= bits.size:
-        nxt1 = bits[start + 1 : window_end + 1][ones]
-        look2 = bits[start + 2 : window_end + 2]
-    else:
-        nxt1 = win[np.minimum(ones + 1, bound - 1)]
-        look2 = None
-    nxt2 = None
-    if tree_id == 1:
-        lens = np.full(k, 1 + ecb, dtype=np.int64)
-    elif tree_id == 2:
-        if look2 is not None:
-            nxt2 = look2[ones]
-        else:
-            nxt2 = win[np.minimum(ones + 2, bound - 1)]
-        lens = np.where(nxt1 == 0, 2, np.where(nxt2 == 0, 3, 3 + ecb))
-    elif tree_id == 3:
-        lens = np.where(nxt1 == 0, 2 + ecb, 3)
-    else:  # tree 4 at ecb == 2: tokens are "0" and "1 s"
-        lens = np.full(k, 2, dtype=np.int64)
-
-    # Jump graph over 1-bit positions: from head j the next head is the
-    # first 1-bit at or after the token's end; the edge consumes the token
-    # itself plus the run of zero tokens in between.  Index k is the sink
-    # (end of window).  The "first 1-bit >= p" query is a single gather into
-    # a padded exclusive-popcount table, which is much cheaper than a
-    # searchsorted (the pad absorbs `after` values past the window).
-    after = ones + lens
-    rank_pad = np.empty(bound + _EVENT_PAD, dtype=np.int64)
-    np.cumsum(win, out=rank_pad[:bound])
-    rank_pad[:bound] -= win  # exclusive rank: ones strictly before j
-    rank_pad[bound:] = k
-    nxt_idx = rank_pad[after]
-    ones_ext = np.empty(k + 1, dtype=np.int64)
-    ones_ext[:k] = ones
-    ones_ext[k] = bound
-    cnt = ones_ext[nxt_idx]
-    cnt -= after
-    cnt += 1
-    np.maximum(cnt, 1, out=cnt)  # overrunning tokens stall at the sink
-    tab = np.empty(k + 1, dtype=np.int64)
-    tab[:k] = nxt_idx
-    tab[k] = k
-    ctab = np.empty(k + 1, dtype=np.int64)
-    ctab[:k] = cnt
-    ctab[k] = 0
-
-    # Blocked binary lifting (see token_start_positions): a few small-stride
-    # tables plus a short scalar anchor walk that stops once n tokens are
-    # covered, then a vectorised fan-out over each anchor's stride.  Table
-    # doubling costs O(k) per level while each walk step costs ~1 µs, so the
-    # cap balances the two.
-    level_count = min(4, (min(n, k) // 128).bit_length())
-    tabs = [tab]
-    ctabs = [ctab]
-    for _ in range(level_count):
-        t, c = tabs[-1], ctabs[-1]
-        ctabs.append(c + c[t])
-        tabs.append(t[t])
-    big_t, big_c = tabs[-1], ctabs[-1]
-    stride = 1 << level_count
-    anchors = np.empty((n >> level_count) + 2, dtype=np.int64)
-    anchor_tok = np.empty(anchors.size, dtype=np.int64)
-    a = 0
-    e = 0
-    tok = int(ones[0])  # zero tokens before the first head
-    while tok < n and e != k:
-        anchors[a] = e
-        anchor_tok[a] = tok
-        a += 1
-        tok += int(big_c[e])
-        e = int(big_t[e])
-
-    # Fan-out: column j of row i is tab^j(anchor_i).  Powers of one function
-    # commute, so composing the level tables in column-doubling order gives
-    # every exponent 0..stride-1 without per-level boolean masks.
-    ev2 = np.empty((a, stride), dtype=np.int64)
-    tix2 = np.empty((a, stride), dtype=np.int64)
-    ev2[:, 0] = anchors[:a]
-    tix2[:, 0] = anchor_tok[:a]
-    w = 1
-    for level in range(level_count):
-        src_e = ev2[:, :w]
-        tix2[:, w : 2 * w] = tix2[:, :w] + ctabs[level][src_e]
-        ev2[:, w : 2 * w] = tabs[level][src_e]
-        w *= 2
-    ev = ev2.ravel()
-    tix = tix2.ravel()
-    keep = (tix < n) & (ev < k)
-
-    # End offset: the last visited head's token, then trailing zero tokens.
-    # (tix is not sorted in ravel order, so find its masked maximum.)
-    last_flat = int(np.argmax(np.where(keep, tix, -1)))
-    last_e, last_t = int(ev[last_flat]), int(tix[last_flat])
-    end = start + int(ones[last_e] + lens[last_e]) + (n - 1 - last_t)
-    if end > window_end:
-        raise FormatError("ECQ segment overruns its bound")
-
-    ev, tix = ev[keep], tix[keep]
-    heads = ones[ev] + start
-    if tree_id == 1:
-        payload = _gather_payload(bits, packed, heads + 1, ecb)
-        values[tix] = _offset_decode(payload, ecb)
-    elif tree_id == 2:
-        b1h, b2h = nxt1[ev], nxt2[ev]
-        values[tix[b1h == 0]] = 1
-        values[tix[(b1h == 1) & (b2h == 0)]] = -1
-        esc = (b1h == 1) & (b2h == 1)
-        if esc.any():
-            payload = _gather_payload(bits, packed, heads[esc] + 3, ecb)
-            values[tix[esc]] = _offset_decode(payload, ecb)
-    elif tree_id == 3:
-        b1h = nxt1[ev]
-        pm = b1h == 1
-        if pm.any():
-            sign_bit = bits[heads[pm] + 2]
-            values[tix[pm]] = 1 - 2 * sign_bit.astype(np.int64)
-        esc = b1h == 0
-        if esc.any():
-            payload = _gather_payload(bits, packed, heads[esc] + 2, ecb)
-            values[tix[esc]] = _offset_decode(payload, ecb)
-    else:  # tree 4 at ecb == 2: sign bit follows the head
-        values[tix] = 1 - 2 * nxt1[ev].astype(np.int64)
-    return values, end
-
-
-def _gather_payload(
-    bits: np.ndarray, packed: np.ndarray | None, offsets: np.ndarray, width: int
-) -> np.ndarray:
-    """Payload gather: packed-byte reads when available, bit matrix otherwise."""
-    if packed is None or offsets.size < 16:
-        return gather_bit_windows(bits, offsets, width)
-    return gather_bit_windows_var(packed, offsets, np.full(offsets.size, width))
 
 
 def decode_ecq(
@@ -673,7 +481,6 @@ def decode_ecq(
     ecb: int,
     tree_id: int,
     scan_limit: int | None = None,
-    packed: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Decode ``n`` ECQ values from ``bits`` starting at bit ``start``.
 
@@ -699,10 +506,6 @@ def decode_ecq(
     if tree_id == 5:
         # Tree 5's small-range branch is identical to tree 4 at EC_b = 2.
         tree_id = 4 if ecb == 2 else 3
-    if tree_id != 4 or ecb == 2:
-        # Sparse event-chain decode: cost scales with the number of set
-        # bits in the window, not the window size.
-        return _decode_events(bits, start, n, ecb, tree_id, bound, packed)
     view = bits[start : start + bound]
 
     # The length callbacks receive offsets 0..W-1 (decode_prefix_stream's
@@ -817,11 +620,6 @@ class ECQDecoder:
         # only cost a bounded-scan retry, never correctness.
         self._avg_by_ecb: dict[int, float] = {} if hints is None else hints
         self._fill = self._INITIAL_FILL
-        # Packed-byte mirror of the stream for fast payload window reads
-        # (6 guard bytes so 7-byte accumulator reads never run off the end).
-        self._packed = np.concatenate(
-            [np.packbits(bits), np.zeros(8, dtype=np.uint8)]
-        )
 
     def decode(self, start: int, n: int, ecb: int) -> tuple[np.ndarray, int]:
         """Decode one ``n``-symbol segment at ``start``; returns ``(values, end)``."""
@@ -844,13 +642,7 @@ class ECQDecoder:
             limit = guess if guess < full else None
             try:
                 values, end = decode_ecq(
-                    self._bits,
-                    start,
-                    n,
-                    ecb,
-                    self._tree_id,
-                    scan_limit=limit,
-                    packed=self._packed,
+                    self._bits, start, n, ecb, self._tree_id, scan_limit=limit
                 )
                 break
             except FormatError:

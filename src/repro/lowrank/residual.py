@@ -88,9 +88,9 @@ def quantize_residual(
     """ECQ codes of ``data - approx`` on the working ``2·EB`` grid.
 
     Returns ``None`` when any code would overflow the int64 cast — the
-    signal for the codec's raw fallback.  (Identical math to
-    :func:`repro.core.quantize.error_correction_codes`, applied to the
-    whole batch at once.)
+    signal for the codec's raw fallback.  (The ECQ step of
+    :func:`repro.core.quantize.quantize_blocks`, applied to the whole
+    stream at once.)
     """
     q_f = np.rint((data - approx) / working_binsize(error_bound))
     if not np.isfinite(q_f).all() or float(np.abs(q_f).max(initial=0.0)) >= _Q_OVERFLOW:

@@ -22,8 +22,9 @@ waits in queue past ``request_deadline_ms`` is answered ``DEADLINE``
 without being processed, so a stampede cannot build an invisible backlog.
 
 On SIGTERM (and SIGINT) the server drains gracefully: the listener
-closes, queued and in-flight requests finish, then the store and pool
-shut down — a spill-backed store finalizes its container footer.
+closes, queued and in-flight requests finish, live connections are
+closed (see :func:`hang_up`), then the store and pool shut down — a
+spill-backed store finalizes its container footer.
 
 Every request is traced with a ``service.request`` span (grafted into the
 telemetry buffer whole, so concurrent coroutines cannot mis-nest) and
@@ -60,6 +61,27 @@ from repro.telemetry import REGISTRY as _METRICS
 from repro.telemetry.spans import adopt_spans
 
 __all__ = ["ServerConfig", "CompressionServer", "serve_in_thread", "ServerHandle"]
+
+#: seconds a stopping server gives hung-up peers to take their last
+#: replies before it resets the connections still open
+HANGUP_GRACE_S = 5.0
+
+
+async def hang_up(conns: dict[asyncio.StreamWriter, asyncio.Task]) -> None:
+    """Close every live connection and await its handler task.
+
+    ``conns`` maps each writer to its handler, which removes its own entry
+    on exit.  A peer that has not read its last replies within
+    :data:`HANGUP_GRACE_S` is reset, so it cannot hold up a stop.
+    """
+    for writer in list(conns):
+        writer.close()
+    if not conns:
+        return
+    _, stuck = await asyncio.wait(list(conns.values()), timeout=HANGUP_GRACE_S)
+    for writer in list(conns):
+        writer.transport.abort()
+    await asyncio.gather(*stuck, return_exceptions=True)
 
 
 @dataclass
@@ -162,7 +184,7 @@ class CompressionServer:
         self._draining = False
         self._started = time.monotonic()
         self._tasks: set[asyncio.Task] = set()
-        self._conns: set[asyncio.StreamWriter] = set()
+        self._conns: dict[asyncio.StreamWriter, asyncio.Task] = {}  # -> handler
         self._stopped = asyncio.Event()
 
     # -- lifecycle -----------------------------------------------------------
@@ -213,7 +235,6 @@ class CompressionServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         # let already-admitted compress requests flow through the dispatcher
         if self._queue is not None:
             await self._queue.put(None)  # dispatcher shutdown sentinel
@@ -221,6 +242,12 @@ class CompressionServer:
             await self._dispatcher
         if self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
+        # admitted work has replied: hang up, so no handler outlives the
+        # loop; only then can wait_closed() return (Python 3.12+ waits for
+        # every accepted connection)
+        await hang_up(self._conns)
+        if self._server is not None:
+            await self._server.wait_closed()
         if self._pool is not None:
             self._pool.close()
         self._executor.shutdown(wait=True)
@@ -266,7 +293,7 @@ class CompressionServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         write_lock = asyncio.Lock()
-        self._conns.add(writer)
+        self._conns[writer] = asyncio.current_task()
         try:
             while True:
                 try:
@@ -301,7 +328,7 @@ class CompressionServer:
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
-            self._conns.discard(writer)
+            self._conns.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.quantize import working_binsize
+from repro.core.quantize import ecq_bin_numbers, working_binsize
 from repro.errors import ParameterError
 
 MAX_ORDER = 3
@@ -81,13 +81,9 @@ def choose_order(grid: np.ndarray, radius: int, sample: int = 65536) -> int:
     best_order, best_cost = 1, None
     for order in range(1, MAX_ORDER + 1):
         r = residuals(probe, order)
-        a = np.abs(r)
-        unpred = a >= radius
-        bits = np.ones(a.shape)
-        nz = a > 0
-        if nz.any():
-            bits[nz] = np.frexp(a[nz].astype(np.float64))[1] + 1.0
-        cost = float(bits[~unpred].sum()) + 70.0 * int(unpred.sum())
+        unpred = np.abs(r) >= radius
+        bits = ecq_bin_numbers(r[~unpred])
+        cost = float(bits.sum()) + 70.0 * int(unpred.sum())
         if best_cost is None or cost < best_cost:
             best_order, best_cost = order, cost
     return best_order

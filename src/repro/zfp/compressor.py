@@ -20,7 +20,7 @@ from repro import api, telemetry
 from repro.bitio import BitReader, BitWriter
 from repro.errors import FormatError
 from repro.zfp import transform as tf
-from repro.zfp.bitplane import encode_block, max_payload_bits
+from repro.zfp.bitplane import max_payload_bits
 from repro.zfp.vectorized import decode_block_fast, encode_blocks
 
 _MAGIC = 0x5A465052  # 'ZFPR'
@@ -40,20 +40,12 @@ class ZFPCompressor:
 
     The error bound plays the role of ZFP's accuracy *tolerance*: the plane
     cutoff guarantees ``max|x - x'| <= tolerance`` (property-tested).
-
-    ``vectorized=True`` (default) encodes with the batched plane coder of
-    :mod:`repro.zfp.vectorized`; the scalar reference coder produces
-    bit-identical streams and remains available for verification.
+    Encoding runs the batched plane coder of :mod:`repro.zfp.vectorized`,
+    whose tokens tests check against the scalar
+    :func:`repro.zfp.bitplane.encode_block`.
     """
 
     name = "zfp"
-
-    def __init__(self, vectorized: bool = True) -> None:
-        self.vectorized = vectorized
-
-    def spec_kwargs(self) -> dict:
-        """Constructor kwargs for :func:`repro.api.codec_spec` (JSON-pure)."""
-        return {"vectorized": self.vectorized}
 
     def compress(self, data: np.ndarray, error_bound: float) -> bytes:
         data = api.validate_input(data)
@@ -75,33 +67,10 @@ class ZFPCompressor:
         w.write_uint(_VERSION, 8)
         w.write_double(eb)
         w.write_uint(n, 48)
-        if self.vectorized:
-            self._emit_vectorized(w, blocks, u, e, maxprec, zero)
-        else:
-            self._emit_scalar(w, blocks, u, e, maxprec, zero)
+        self._emit(w, blocks, u, e, maxprec, zero)
         return w.getvalue()
 
-    def _emit_scalar(self, w, blocks, u, e, maxprec, zero) -> None:
-        """Reference emitter: one block at a time (bit-identical output)."""
-        u_list = u.tolist()
-        e_list = (e + _E_BIAS).tolist()
-        prec_list = maxprec.tolist()
-        zero_list = zero.tolist()
-        top = tf.TOP_PLANE
-        for b in range(blocks.shape[0]):
-            if zero_list[b]:
-                w.write_bit(0)
-                continue
-            w.write_bit(1)
-            w.write_uint(e_list[b], 12)
-            mp = prec_list[b]
-            if mp > _RAW_PREC:
-                w.write_uint_array(blocks[b].view(np.uint64), 64)
-            elif mp > 0:
-                payload, nbits = encode_block(tuple(u_list[b]), top, mp)
-                w.write_bigint(payload, nbits)
-
-    def _emit_vectorized(self, w, blocks, u, e, maxprec, zero) -> None:
+    def _emit(self, w, blocks, u, e, maxprec, zero) -> None:
         """Batched emitter: every field becomes one (code, length) token and
         a single ``write_varlen_array`` builds the stream."""
         B = blocks.shape[0]
@@ -224,8 +193,10 @@ class ZFPCompressor:
         return out.reshape(-1)[:n]
 
 
-def _factory(**kwargs) -> ZFPCompressor:
-    return ZFPCompressor(**kwargs)
+def _factory(vectorized: bool = True) -> ZFPCompressor:
+    # Containers from before the scalar emitter was removed carry a
+    # ``vectorized`` key; both of its settings wrote the same bytes.
+    return ZFPCompressor()
 
 
 api.register_codec("zfp", _factory)

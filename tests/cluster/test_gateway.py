@@ -12,8 +12,12 @@ acceptance criteria directly:
 * the gateway forward path copies **zero** payload bytes
   (``service.buffers.bytes_copied`` delta stays 0 — same telemetry
   discipline as the PR 7 data plane);
-* ``cluster.stats`` aggregates fleet health and per-shard stores.
+* ``cluster.stats`` aggregates fleet health and per-shard stores;
+* ``stop()`` hangs up on connected clients before its loop closes.
 """
+
+import asyncio
+import socket
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ import pytest
 from repro import telemetry
 from repro.cluster import LocalFleet
 from repro.errors import RemoteError
+from repro.service import protocol
 
 EB = 1e-10
 SHAPE = (4, 4, 4, 4)
@@ -179,3 +184,18 @@ class TestStats:
         assert sorted(h["shards_up"]) == [s.name for s in fleet.specs]
         assert h["shards_down"] == []
         assert h["hints_pending"] == 0
+
+
+class TestLifecycle:
+    def test_stop_hangs_up_on_connected_clients(self, fleet):
+        """A client connected across ``stop()`` sees EOF at once, and the
+        gateway's loop closes with no connection handler still pending."""
+        handle = fleet.gateway
+        with socket.create_connection((handle.host, handle.port), timeout=5) as sock:
+            fh = sock.makefile("rb")
+            sock.sendall(protocol.encode_request("health", 1))
+            header, _ = protocol.read_frame(fh)
+            assert header["ok"]
+            handle.stop()
+            assert fh.read(1) == b""  # EOF, not the 5 s socket timeout
+        assert not asyncio.all_tasks(handle._loop)

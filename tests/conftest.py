@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.chem import ERIEngine, benzene, generate_dataset
 from repro.chem.basis import BasisSet, Shell
 from repro.chem.molecule import Atom, Molecule
 from repro.core.blocking import BlockSpec
+
+# Every property test draws the same examples on every run (derandomize
+# also turns off the example database), so the suite's result never
+# depends on a seed.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -91,6 +91,25 @@ def test_extreme_magnitudes_with_tiny_bound(rng):
     assert np.max(np.abs(out - data)) <= 1e-12
 
 
+@given(seed=st.integers(0, 2**32 - 1), log2_mag=st.floats(40.0, 46.0))
+@settings(max_examples=30, deadline=None)
+def test_smooth_blocks_up_to_2_46_eb_keep_the_bound(seed, log2_mag):
+    """Smooth blocks whose values reach 2^40-2^46·EB round-trip within EB.
+
+    float64 rounding in the reconstruction can exceed the bin deflation up
+    there, so the compressor must store such a block raw when it misses.
+    """
+    rng = np.random.default_rng(seed)
+    M = L = 36  # (dd|dd)
+    pattern = rng.uniform(0.5, 1.0, L) * 2.0**log2_mag * EB
+    scales = np.r_[1.0, rng.uniform(-1.0, 1.0, M - 1)]
+    blocks = scales[None, :, None] * pattern[None, None, :]
+    data = (blocks + rng.standard_normal((8, M, L)) * 20 * EB).ravel()
+    c = codec()
+    out = c.decompress(c.compress(data, EB))
+    assert np.max(np.abs(out - data)) <= EB
+
+
 def test_huge_error_bound_gives_type0_blocks(patterned_stream):
     c = codec(collect_stats=True)
     blob = c.compress(patterned_stream, 1.0)

@@ -23,32 +23,47 @@ def test_bits_for_symmetric_range_rejects_negative():
         qz.bits_for_symmetric_range(-1)
 
 
+def _quantize(block2d, pattern, scales, eb):
+    """``quantize_blocks`` over a batch of one block."""
+    return qz.quantize_blocks(block2d[None], pattern[None], scales[None], eb)
+
+
+def _decoded(q, eb):
+    """What the decompressor rebuilds: Eq. 10 plus ``ECQ·bin``."""
+    binsize = qz.working_binsize(eb)
+    approx = qz.pattern_products(q.pq, q.sq, 2 ** (q.p_b[:, None] - 1), binsize)
+    return approx + q.ecq.reshape(approx.shape) * binsize
+
+
 def test_pattern_quantization_error_at_most_eb(rng):
     eb = 1e-10
     pattern = rng.standard_normal(64) * 1e-7
-    pq, p_b = qz.quantize_pattern(pattern, eb)
-    back = qz.dequantize_pattern(pq, eb)
+    q = _quantize(pattern[None], pattern, np.ones(1), eb)
+    back = q.pq[0] * qz.working_binsize(eb)
     assert np.max(np.abs(back - pattern)) <= eb
-    assert int(np.abs(pq).max()) <= (1 << (p_b - 1)) - 1
+    assert int(np.abs(q.pq).max()) <= (1 << (int(q.p_b[0]) - 1)) - 1
 
 
 def test_pattern_bits_match_paper_example():
     # §IV-B: P in [-1e-7, 1e-7] at EB=1e-10 needs ~10 bits.
     pattern = np.array([1e-7, -1e-7, 3e-8])
-    _, p_b = qz.quantize_pattern(pattern, 1e-10)
-    assert p_b == 10  # PQ_ext = 500 -> 9 magnitude bits + sign (paper: ~10)
+    q = _quantize(pattern[None], pattern, np.ones(1), 1e-10)
+    assert q.p_b[0] == 10  # PQ_ext = 500 -> 9 magnitude bits + sign (paper: ~10)
 
 
 def test_scale_quantization_covers_unit_interval():
-    s_b = 10
+    # S_b = P_b: the paper's pattern at EB=1e-10 puts the scales on 10 bits
+    pattern = np.array([1e-7, -1e-7, 3e-8])
     scales = np.linspace(-1, 1, 101)
-    sq = qz.quantize_scales(scales, s_b)
-    back = qz.dequantize_scales(sq, s_b)
+    q = _quantize(np.outer(scales, pattern), pattern, scales, 1e-10)
+    s_b = int(q.p_b[0])
+    assert s_b == 10
+    back = q.sq[0] * 2.0 ** -(s_b - 1)
     # binsize = 2^-(s_b-1); +1 is clamped by one extra bin
     binsize = 2.0 ** -(s_b - 1)
     assert np.max(np.abs(back - scales)) <= binsize
-    assert sq.max() <= (1 << (s_b - 1)) - 1
-    assert sq.min() >= -(1 << (s_b - 1))
+    assert q.sq.max() <= (1 << (s_b - 1)) - 1
+    assert q.sq.min() >= -(1 << (s_b - 1))
 
 
 def test_quantize_block_guarantees_error_bound(rng):
@@ -56,11 +71,12 @@ def test_quantize_block_guarantees_error_bound(rng):
     pattern = rng.standard_normal(16) * 1e-7
     scales = rng.uniform(-1, 1, 8)
     block = np.outer(scales, pattern) + rng.standard_normal((8, 16)) * 1e-9
-    q = qz.quantize_block(block, pattern, scales, eb)
-    approx = qz.reconstruct_block(q.pq, q.sq, eb, q.s_b)
-    recon = qz.apply_error_correction(approx, q.ecq, eb)
-    assert np.max(np.abs(recon - block)) <= eb
-    assert q.s_b == q.p_b  # the paper's practical coupling
+    q = _quantize(block, pattern, scales, eb)
+    assert not q.raw[0]
+    assert np.max(np.abs(_decoded(q, eb)[0] - block)) <= eb
+    # the paper's practical coupling S_b = P_b: SQ is scales on the P_b grid
+    half = 1 << (int(q.p_b[0]) - 1)
+    assert np.array_equal(q.sq[0], np.clip(np.rint(scales * half), -half, half - 1))
 
 
 def test_ecq_bin_numbers_match_fig6_binning():
@@ -70,10 +86,15 @@ def test_ecq_bin_numbers_match_fig6_binning():
 
 
 def test_ec_b_max_from_extremum():
-    assert qz.ec_b_max(np.array([0, 0])) == 1
-    assert qz.ec_b_max(np.array([0, -1])) == 2
-    assert qz.ec_b_max(np.array([5])) == 4
-    assert qz.ec_b_max(np.zeros(0, dtype=np.int64)) == 1
+    # A zero pattern leaves ECQ = x / bin, so each block's ECQ is given.
+    eb = 1e-10
+    ecq = np.array([[0, 0], [0, -1], [5, 0]])
+    blocks = (ecq * qz.working_binsize(eb))[:, None, :]
+    q = qz.quantize_blocks(blocks, np.zeros((3, 2)), np.zeros((3, 1)), eb)
+    assert np.array_equal(q.ecq, ecq)
+    assert q.ec_b_max.tolist() == [1, 2, 4]
+    empty = qz.quantize_blocks(np.zeros((0, 1, 2)), np.zeros((0, 2)), np.zeros((0, 1)), eb)
+    assert empty.ec_b_max.size == 0
 
 
 def test_theoretical_lower_bound_ecb():
@@ -88,6 +109,6 @@ def test_naive_s_bits_reproduces_paper_33():
 
 def test_small_eb_relative_to_pattern_gives_wide_pq(rng):
     pattern = np.array([1.0, -0.5])
-    pq, p_b = qz.quantize_pattern(pattern, 1e-12)
-    assert p_b >= 40
-    assert qz.dequantize_pattern(pq, 1e-12) == pytest.approx(pattern, abs=1e-12)
+    q = _quantize(pattern[None], pattern, np.ones(1), 1e-12)
+    assert q.p_b[0] >= 40
+    assert q.pq[0] * qz.working_binsize(1e-12) == pytest.approx(pattern, abs=1e-12)

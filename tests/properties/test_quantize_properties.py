@@ -1,34 +1,66 @@
 """Property-based tests for the PaSTRI quantization calculus."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import quantize as qz
-from repro.core.scaling import ScalingMetric, fit_pattern
+from repro.core.scaling import ScalingMetric, fit_pattern_batch
 
-finite = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)
+unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
-@given(
-    block=hnp.arrays(np.float64, (5, 8), elements=finite),
-    eb=st.sampled_from([1e-9, 1e-6, 1e-3]),
-    metric=st.sampled_from(list(ScalingMetric)),
-)
-@settings(max_examples=150, deadline=None)
-def test_full_quantization_respects_bound(block, eb, metric):
-    """Pattern fit + quantization + EC reconstructs within EB.
+@st.composite
+def block_batches(draw):
+    """``(blocks3d, eb)``: 1-3 smooth or arbitrary blocks, max|x| up to 2^46·EB.
 
-    Domain restricted to ``max|x|/EB < 2^MAX_FIELD_BITS`` — beyond it
-    ``quantize_block``'s documented precondition fails and the compressor's
-    raw fallback (tested in test_codec_roundtrip) takes over.
+    Smooth blocks are a scaled pattern plus a deviation of a few EB (ERI
+    shape); arbitrary ones are independent values.
     """
-    fit = fit_pattern(block, metric)
-    q = qz.quantize_block(block, fit.pattern, fit.scales, eb)
-    approx = qz.reconstruct_block(q.pq, q.sq, eb, q.s_b)
-    recon = qz.apply_error_correction(approx, q.ecq, eb)
-    assert np.max(np.abs(recon - block)) <= eb
+    n = draw(st.integers(1, 3))
+    m, ell = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    eb = draw(st.sampled_from([1e-13, 1e-10, 1e-9, 1e-6, 1e-3]))
+    mag = eb * 2.0 ** draw(st.floats(-4.0, 46.0))
+    if draw(st.booleans()):
+        pattern = draw(hnp.arrays(np.float64, (n, 1, ell), elements=unit))
+        scales = draw(hnp.arrays(np.float64, (n, m, 1), elements=unit))
+        dev = draw(hnp.arrays(np.float64, (n, m, ell), elements=unit))
+        blocks = mag * scales * pattern + dev * eb * draw(st.sampled_from([0.5, 20.0, 1e3]))
+    else:
+        blocks = mag * draw(hnp.arrays(np.float64, (n, m, ell), elements=unit))
+    return blocks, eb
+
+
+def _reproducer():
+    """A smooth (2,2,2,2) block at 2^45·EB that decoded 1.0004·EB off
+    before blocks from 2^40·EB were rebuilt and checked."""
+    rng = np.random.default_rng(60)
+    pat = rng.uniform(0.5, 1, 4) * 2**45 * 1e-10
+    x = np.outer(np.r_[1.0, rng.uniform(-1, 1, 3)], pat) + rng.standard_normal((4, 4)) * 20e-10
+    return x[None], 1e-10
+
+
+@given(case=block_batches(), metric=st.sampled_from(list(ScalingMetric)))
+@example(case=_reproducer(), metric=ScalingMetric.ER)
+@settings(max_examples=150, deadline=None)
+def test_full_quantization_respects_bound(case, metric):
+    """The codec's contract: every block is within EB or flagged raw.
+
+    Patterns come from the codec's own fit; the reconstruction is the
+    decompressor's, Eq. 10 plus ``ECQ·bin``.
+    """
+    blocks, eb = case
+    n, m, ell = blocks.shape
+    p_idx, scales, _ = fit_pattern_batch(blocks, metric)
+    q = qz.quantize_blocks(blocks, blocks[np.arange(n), p_idx], scales, eb)
+    binsize = qz.working_binsize(eb)
+    recon = qz.pattern_products(q.pq, q.sq, 2 ** (q.p_b[:, None] - 1), binsize)
+    recon += q.ecq.reshape(n, m, ell) * binsize
+    err = np.abs(recon - blocks).reshape(n, -1).max(axis=1)
+    assert np.all(q.raw | (err <= eb))
+    assert np.all(q.p_b <= qz.MAX_FIELD_BITS)
+    assert np.all(q.raw | (q.ec_b_max <= qz.MAX_ECB))
 
 
 @given(values=hnp.arrays(np.int64, st.integers(1, 100), elements=st.integers(-(2**40), 2**40)))

@@ -8,6 +8,8 @@ under saturation with backoff eventually succeeding, and non-empty
 ``service.*`` counters from the ``metrics`` op.
 """
 
+import asyncio
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +25,7 @@ from repro.errors import (
     ServerBusyError,
 )
 from repro.service import RetryPolicy, ServerConfig, ServiceClient, serve_in_thread
+from repro.service import server as server_mod
 from repro.service.client import AsyncServiceClient
 from tests.conftest import make_patterned_stream
 
@@ -300,6 +303,53 @@ class TestDrain:
 
         with open_container(spill) as r:
             assert len(r) > 0
+
+
+    def test_hang_up_resets_a_peer_that_never_reads(self, monkeypatch):
+        """A connection whose peer leaves its last bytes unread cannot finish
+        closing; ``hang_up`` resets it after the grace period, so a stop
+        that hangs up cannot be held up by such a peer."""
+        monkeypatch.setattr(server_mod, "HANGUP_GRACE_S", 0.2)
+
+        async def scenario():
+            conns, buffered = {}, []
+
+            async def handler(reader, writer):
+                conns[writer] = asyncio.current_task()
+                try:
+                    writer.write(bytes(16 << 20))  # more than the kernel takes
+                    buffered.append(writer.transport.get_write_buffer_size())
+                    while await reader.read(1 << 16):
+                        pass
+                finally:  # the server's handler epilogue
+                    conns.pop(writer, None)
+                    writer.close()
+                    try:
+                        await writer.wait_closed()
+                    except (ConnectionError, OSError):
+                        pass
+
+            srv = await asyncio.start_server(handler, "127.0.0.1", 0)
+            with socket.socket() as peer:
+                peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                peer.setblocking(False)
+                try:
+                    peer.connect(srv.sockets[0].getsockname())
+                except BlockingIOError:
+                    pass
+                while not buffered:
+                    await asyncio.sleep(0.01)
+                handler_task = next(iter(conns.values()))
+                t0 = time.monotonic()
+                srv.close()
+                await asyncio.wait_for(server_mod.hang_up(conns), 10)
+                await asyncio.wait_for(srv.wait_closed(), 10)
+                return buffered[0], handler_task.done(), time.monotonic() - t0, conns
+
+        unsent, handler_done, elapsed, conns = asyncio.run(scenario())
+        assert unsent > 0  # the close really had bytes to flush
+        assert handler_done and not conns
+        assert elapsed < 5.0
 
 
 class TestAsyncClient:

@@ -111,6 +111,16 @@ def test_codec_spec_roundtrip(name, rng):
     np.testing.assert_array_equal(rebuilt.decompress(blob), codec.decompress(blob))
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_zfp_spec_with_the_dropped_vectorized_key_still_loads(flag, rng):
+    """Containers written while ZFP had a ``vectorized`` option carry it in
+    their codec spec; both values wrote the same bytes and still load."""
+    codec = api.codec_from_spec({"name": "zfp", "kwargs": {"vectorized": flag}})
+    assert api.codec_spec(codec) == {"name": "zfp", "kwargs": {}}
+    data = rng.standard_normal(64) * 1e-7
+    assert codec.compress(data, 1e-10) == api.get_codec("zfp").compress(data, 1e-10)
+
+
 def test_codec_spec_is_json_serializable():
     import json
 
