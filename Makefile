@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test ci bench bench-record overhead-check serve-smoke fsck-smoke \
+.PHONY: test ci bench overhead-check serve-smoke fsck-smoke \
 	store-bench-smoke scaling-smoke cluster-smoke reshard-smoke lowrank-smoke harness \
 	perfbench-selftest
 
@@ -33,12 +33,6 @@ perfbench-selftest:
 ## Timed paper benchmarks (pytest-benchmark, shape assertions included).
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only -q
-
-## Record codec + container throughput and machine info into
-## BENCH_pr3.json so future PRs have a trajectory to compare against
-## (see benchmarks/record.py).
-bench-record:
-	$(PY) -m benchmarks.record
 
 ## The CI telemetry gate: fails when telemetry-enabled compress/decompress
 ## is >10% slower than disabled (see benchmarks/overhead_check.py).

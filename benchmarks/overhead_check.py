@@ -13,8 +13,8 @@ the check stays seconds-fast and dependency-light::
 
     PYTHONPATH=src python -m benchmarks.overhead_check --reps 7 --threshold 0.10
 
-Minimum-over-reps on both sides for the same reason ``benchmarks.record``
-uses it: on timeshared CI hosts the floor is the only stable estimator.
+Minimum-over-reps on both sides: on timeshared CI hosts the floor is the
+only stable estimator.
 """
 
 from __future__ import annotations

@@ -82,7 +82,7 @@ class LocalFleet:
             for i in range(int(n_shards))
         ]
         self._handles: dict[str, object] = {}
-        self.gateway = None  # GatewayHandle once started
+        self.gateway = None  # the gateway's EndpointHandle once started
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -9,8 +9,8 @@ health table, and the hint journal — so gateways are horizontally
 trivial.
 
 **Zero-copy forwarding.**  A forwarded payload is never re-materialized:
-the bytes read off the client socket are handed to the shard link as a
-buffer-chain part (:func:`repro.service.protocol.encode_request_parts`),
+the bytes read off the client socket are handed to the shard connection
+as a buffer-chain part (:func:`repro.service.protocol.encode_request_parts`),
 and a shard's response payload rides back to the client the same way via
 ``writelines``.  ``service.buffers.bytes_borrowed`` counts every relayed
 payload byte; ``bytes_copied`` stays at zero on the forward path — the
@@ -38,23 +38,18 @@ reads.  See ``docs/CLUSTER.md`` for the full protocol.
 from __future__ import annotations
 
 import asyncio
-import signal
-import threading
 import time
 from dataclasses import dataclass, field
 
 from repro import telemetry
 from repro.cluster.hints import HintLog
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, key_bytes
-from repro.errors import ParameterError, ProtocolError, ServiceError
+from repro.errors import ParameterError
 from repro.service import buffers, protocol
-from repro.service.server import hang_up
-from repro.telemetry import REGISTRY as _METRICS
+from repro.service.client import Connection
+from repro.service.endpoint import Endpoint, EndpointHandle, run_in_thread
 
-__all__ = ["GatewayConfig", "ClusterGateway", "GatewayHandle", "gateway_in_thread"]
-
-#: ops the ring routes by key (everything else is stateless spreading)
-_KEYED_OPS = ("store.put", "store.get")
+__all__ = ["GatewayConfig", "ClusterGateway", "gateway_in_thread"]
 
 
 @dataclass
@@ -81,7 +76,6 @@ class GatewayConfig:
     hint_path: str | None = None
     #: fsync every hint record (crash-durable hints; tests may disable)
     hint_durable: bool = True
-    links_per_shard: int = 2
     max_payload_bytes: int = protocol.DEFAULT_MAX_PAYLOAD
     telemetry: bool = True
 
@@ -97,118 +91,6 @@ class GatewayConfig:
         if len(set(names)) != len(names):
             raise ParameterError("shard names must be unique")
         return out
-
-
-class _ShardLink:
-    """One persistent PSRV connection to a shard (lazy, self-healing)."""
-
-    def __init__(self, host: str, port: int, max_payload: int) -> None:
-        self.host = host
-        self.port = port
-        self.max_payload = max_payload
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._next_id = 0
-
-    async def _connect(self) -> None:
-        if self._writer is None:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port
-            )
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._reader = self._writer = None
-
-    def abort(self) -> None:
-        """Synchronous close for contexts that cannot await (cancellation).
-
-        The transport tears the connection down on the event loop's next
-        tick; the link reconnects lazily on its next use.
-        """
-        if self._writer is not None:
-            self._writer.close()
-        self._reader = self._writer = None
-
-    async def call(self, op: str, params: dict, payload, route: dict
-                   ) -> tuple[dict, bytes]:
-        """Forward one op; returns the raw response ``(header, payload)``.
-
-        Error *replies* come back as headers (``ok: false``) for the
-        caller to interpret; only transport failures raise.  The request
-        payload goes out as a buffer-chain part — no copy here.
-        """
-        await self._connect()
-        self._next_id += 1
-        req_id = self._next_id
-        try:
-            self._writer.writelines(
-                protocol.encode_request_parts(op, req_id, params, payload, route)
-            )
-            await self._writer.drain()
-            frame = await protocol.read_frame_async(self._reader, self.max_payload)
-        except (ConnectionError, OSError, ProtocolError):
-            await self.close()
-            raise
-        if frame is None:
-            await self.close()
-            raise ConnectionResetError("shard closed the connection mid-request")
-        header, body = frame
-        got = header.get("id")
-        if got is not None and got != req_id:
-            await self.close()
-            raise ProtocolError(f"shard response id {got} != request {req_id}")
-        return header, body
-
-
-class _LinkPool:
-    """A small pool of links to one shard; calls lease one at a time."""
-
-    def __init__(self, host: str, port: int, size: int, timeout_s: float,
-                 max_payload: int) -> None:
-        self._host = host
-        self._port = port
-        self._timeout_s = timeout_s
-        self._max_payload = max_payload
-        self._free: asyncio.Queue = asyncio.Queue()
-        self._spare = size  # links not yet created
-        self._closing = False
-
-    async def call(self, op: str, params: dict, payload, route: dict
-                   ) -> tuple[dict, bytes]:
-        if self._spare > 0:
-            self._spare -= 1
-            link = _ShardLink(self._host, self._port, self._max_payload)
-        else:
-            link = await self._free.get()
-        clean = False
-        try:
-            result = await asyncio.wait_for(
-                link.call(op, params, payload, route), self._timeout_s
-            )
-            clean = True
-            return result
-        finally:
-            # ANY non-clean exit — timeout, transport error, cancellation
-            # (e.g. a gateway drain mid-``writelines``) — may leave the
-            # connection desynchronized: a request half-written or a
-            # response half-read.  Re-pooling it live would hand the next
-            # caller a stale or torn frame, so drop the connection; the
-            # link reconnects lazily.  (abort() is sync: under
-            # cancellation an ``await`` here could itself be cancelled.)
-            if not clean or self._closing:
-                link.abort()
-            self._free.put_nowait(link)
-
-    async def close(self) -> None:
-        self._closing = True  # leased links are aborted as they return
-        while not self._free.empty():
-            await self._free.get_nowait().close()
 
 
 class _Migration:
@@ -259,103 +141,76 @@ class _Migration:
         }
 
 
-class ClusterGateway:
+class ClusterGateway(Endpoint):
     """The asyncio gateway server; see the module docstring for semantics."""
 
+    role = "gateway"
+    metric_prefix = "cluster"
+
     def __init__(self, config: GatewayConfig) -> None:
-        self.config = config
+        super().__init__(config)
         addrs = config.shard_addrs()
         if not addrs:
             raise ParameterError("a gateway needs at least one shard")
         self.ring = HashRing([name for name, _, _ in addrs], config.vnodes)
         self.hints = HintLog(config.hint_path, durable=config.hint_durable)
         self._addrs: dict[str, tuple[str, int]] = {}
-        self._pools: dict[str, _LinkPool] = {}
+        self._links: dict[str, Connection] = {}  # one multiplexed link per shard
         self._failures: dict[str, int] = {}
         self._down: set[str] = set()
         for name, host, port in addrs:
             self._add_member(name, host, port)
         self._migration: _Migration | None = None
         self._rr = 0  # round-robin cursor for stateless ops
-        self._server: asyncio.AbstractServer | None = None
         self._health_task: asyncio.Task | None = None
         self._drain_tasks: set[asyncio.Task] = set()
         self._drain_active: set[str] = set()  # shards with a drain running
-        self._tasks: set[asyncio.Task] = set()
-        self._conns: dict[asyncio.StreamWriter, asyncio.Task] = {}  # -> handler
-        self._draining = False
-        self._started = time.monotonic()
-        self._stopped = asyncio.Event()
 
     # -- membership ----------------------------------------------------------
 
     def _add_member(self, name: str, host: str, port: int) -> None:
-        """Wire up links and health state for a shard (not yet in the ring)."""
+        """Wire up the link and health state for a shard (not yet in the ring)."""
         self._addrs[name] = (host, port)
-        self._pools[name] = _LinkPool(
-            host, int(port), self.config.links_per_shard,
-            self.config.shard_timeout_s, self.config.max_payload_bytes,
-        )
+        self._links[name] = Connection(host, int(port), self.config.max_payload_bytes)
         self._failures[name] = 0
 
     async def _remove_member(self, name: str) -> None:
-        """Forget a shard entirely: links, health state, owed hints."""
+        """Forget a shard entirely: link, health state, owed hints."""
         self._addrs.pop(name, None)
         self._failures.pop(name, None)
         self._down.discard(name)
         self.hints.forget(name)
-        pool = self._pools.pop(name, None)
-        if pool is not None:
-            await pool.close()
+        link = self._links.pop(name, None)
+        if link is not None:
+            await link.close()
 
-    # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise ServiceError("gateway is not started")
-        return self._server.sockets[0].getsockname()[1]
-
-    async def start(self) -> None:
-        if self.config.telemetry:
-            telemetry.enable()
-        self._started = time.monotonic()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+    async def _call(self, shard: str, op: str, params: dict | None = None,
+                    payload=b"", attempt: int = 0,
+                    timeout_s: float | None = None) -> tuple[dict, bytes]:
+        """Forward one op to ``shard``; returns the raw reply ``(header,
+        payload)``.  Transport failures and the timeout raise."""
+        route = {"via": self.config.gateway_id, "shard": shard, "attempt": attempt}
+        return await asyncio.wait_for(
+            self._links[shard].call(op, params, payload, route),
+            timeout_s or self.config.shard_timeout_s,
         )
+
+    # -- lifecycle hooks -----------------------------------------------------
+
+    async def _open(self) -> None:
         self._health_task = asyncio.ensure_future(self._health_loop())
 
-    async def serve_forever(self) -> None:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    sig, lambda: asyncio.ensure_future(self.stop())
-                )
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                break
-        await self._stopped.wait()
-
-    async def stop(self) -> None:
-        if self._draining:
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-        if self._health_task is not None:
-            self._health_task.cancel()
-        for task in list(self._drain_tasks):
+    async def _quiesce(self, hard: bool) -> None:
+        """Stop the health loop and every hint drain."""
+        tasks = [t for t in (self._health_task, *self._drain_tasks) if t is not None]
+        for task in tasks:
             task.cancel()
-        if self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
-        # admitted work has replied: hang up, then wait_closed() can return
-        await hang_up(self._conns)
-        if self._server is not None:
-            await self._server.wait_closed()
-        for pool in self._pools.values():
-            await pool.close()
+        await asyncio.gather(*tasks, return_exceptions=True)
+
+    async def _release(self, hard: bool) -> None:
+        for link in self._links.values():
+            await link.close()
         self.hints.close()
-        self._stopped.set()
 
     # -- shard health --------------------------------------------------------
 
@@ -378,7 +233,7 @@ class ClusterGateway:
 
     def _spawn_drain(self, shard: str) -> None:
         """Start one hint drain per shard at a time (idempotent)."""
-        if shard in self._drain_active or shard not in self._pools:
+        if self._draining or shard in self._drain_active or shard not in self._links:
             return
         self._drain_active.add(shard)
         task = asyncio.ensure_future(self._drain_hints(shard))
@@ -409,10 +264,7 @@ class ClusterGateway:
 
     async def _probe(self, shard: str, timeout_s: float) -> None:
         try:
-            header, _ = await asyncio.wait_for(
-                self._pools[shard].call("health", {}, b"", self._route(shard, 0)),
-                timeout_s,
-            )
+            header, _ = await self._call(shard, "health", timeout_s=timeout_s)
             if header.get("ok"):
                 self._note_success(shard)
             else:
@@ -425,24 +277,21 @@ class ClusterGateway:
     async def _drain_hints(self, shard: str) -> None:
         """Hand every hinted block back to its rightful, rejoined owner."""
         for key, holder in self.hints.pending(shard):
-            if holder not in self._pools or shard not in self._pools:
+            if holder not in self._links or shard not in self._links:
                 continue  # membership changed under us mid-drain
             try:
                 # raw blob transfer: the rejoined owner ends up holding
                 # byte-identical compressed bytes, no decode/re-encode
-                rh, body = await self._pools[holder].call(
-                    "store.get_raw", {"key": key}, b"", self._route(holder, 0)
-                )
+                rh, body = await self._call(holder, "store.get_raw", {"key": key})
                 if not rh.get("ok"):
                     self._count("cluster.hints.drain_failures")
                     continue
                 result = rh.get("result", {})
-                ph, _ = await self._pools[shard].call(
-                    "store.put_raw",
+                ph, _ = await self._call(
+                    shard, "store.put_raw",
                     {"key": key, "n": result.get("n"),
                      "dims": result.get("dims")},
                     memoryview(body),
-                    self._route(shard, 0),
                 )
             except Exception:
                 self._count("cluster.hints.drain_failures")
@@ -453,77 +302,7 @@ class ClusterGateway:
             else:
                 self._count("cluster.hints.drain_failures")
 
-    # -- connection handling -------------------------------------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        write_lock = asyncio.Lock()
-        self._conns[writer] = asyncio.current_task()
-        try:
-            while True:
-                try:
-                    frame = await protocol.read_frame_async(
-                        reader, self.config.max_payload_bytes
-                    )
-                except ProtocolError as exc:
-                    await self._write(
-                        writer, write_lock,
-                        protocol.encode_error(None, "PROTOCOL", str(exc)),
-                    )
-                    break
-                if frame is None:
-                    break
-                header, payload = frame
-                task = asyncio.ensure_future(
-                    self._serve_request(header, payload, writer, write_lock)
-                )
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._conns.pop(writer, None)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _write(self, writer, lock: asyncio.Lock, frame) -> None:
-        parts = frame if isinstance(frame, list) else [frame]
-        async with lock:
-            writer.writelines(parts)
-            await writer.drain()
-
-    async def _serve_request(self, header: dict, payload: bytes, writer,
-                             write_lock: asyncio.Lock) -> None:
-        op = header.get("op")
-        req_id = header.get("id")
-        t0 = time.perf_counter()
-        try:
-            reply = await self._dispatch(op, req_id, header, payload)
-        except asyncio.CancelledError:
-            raise
-        except ParameterError as exc:
-            reply = protocol.encode_error(req_id, "BAD_REQUEST", str(exc))
-        except Exception as exc:
-            self._count("cluster.errors")
-            reply = protocol.encode_error(req_id, "INTERNAL", str(exc))
-        self._count("cluster.requests")
-        if telemetry.is_enabled():
-            _METRICS.timer("cluster.request").observe(
-                time.perf_counter() - t0, nbytes=len(payload)
-            )
-        try:
-            await self._write(writer, write_lock, reply)
-        except (ConnectionError, OSError):
-            pass
-
     # -- routing -------------------------------------------------------------
-
-    def _route(self, shard: str, attempt: int) -> dict:
-        return {"via": self.config.gateway_id, "shard": shard,
-                "attempt": attempt}
 
     def _candidates(self, key) -> list[str]:
         """Preference list + spare successors (read sources, hint holders).
@@ -565,11 +344,9 @@ class ClusterGateway:
         spares = [s for s in pool if s not in preferred]
         return preferred, spares
 
-    async def _dispatch(self, op, req_id, header: dict, payload: bytes):
-        if self._draining:
-            return protocol.encode_error(
-                req_id, "SHUTTING_DOWN", "gateway is draining", retry_after_s=0.2
-            )
+    async def _dispatch(self, header: dict, payload: bytes):
+        op = header.get("op")
+        req_id = header.get("id")
         params = header.get("params") or {}
         if not isinstance(params, dict):
             raise ParameterError("request params must be a JSON object")
@@ -616,9 +393,7 @@ class ClusterGateway:
                 raise ParameterError("cluster.reshard.add requires 'host' and 'port'")
             self._add_member(name, str(params["host"]), int(params["port"]))
             try:  # the newcomer must answer before it can receive keys
-                header, _ = await self._pools[name].call(
-                    "health", {}, b"", self._route(name, 0)
-                )
+                header, _ = await self._call(name, "health")
                 healthy = bool(header.get("ok"))
             except Exception as exc:
                 await self._remove_member(name)
@@ -652,9 +427,7 @@ class ClusterGateway:
         keys: dict[str, object] = {}
         for shard in self.live_shards():
             try:
-                header, _ = await self._pools[shard].call(
-                    "store.keys", {}, b"", self._route(shard, 0)
-                )
+                header, _ = await self._call(shard, "store.keys")
             except Exception:
                 self._note_failure(shard)
                 continue
@@ -752,12 +525,10 @@ class ClusterGateway:
         a borrowed memoryview both ways (zero-copy relay).
         """
         for source in sources:
-            if source in self._down or source not in self._pools:
+            if source in self._down or source not in self._links:
                 continue
             try:
-                rh, body = await self._pools[source].call(
-                    "store.get_raw", {"key": key}, b"", self._route(source, 0)
-                )
+                rh, body = await self._call(source, "store.get_raw", {"key": key})
             except Exception:
                 self._note_failure(source)
                 continue
@@ -768,11 +539,11 @@ class ClusterGateway:
             failed: list[str] = []
             for target in targets:
                 try:
-                    ph, _ = await self._pools[target].call(
-                        "store.put_raw",
+                    ph, _ = await self._call(
+                        target, "store.put_raw",
                         {"key": key, "n": result.get("n"),
                          "dims": result.get("dims")},
-                        memoryview(body), self._route(target, 0),
+                        memoryview(body),
                     )
                 except Exception:
                     self._note_failure(target)
@@ -847,9 +618,7 @@ class ClusterGateway:
         if target in self._down:
             return False, {"code": "BUSY", "message": f"{target} is down"}
         try:
-            header, _ = await self._pools[target].call(
-                "store.put", params, body, self._route(target, 0)
-            )
+            header, _ = await self._call(target, "store.put", params, body)
         except Exception as exc:
             self._note_failure(target)
             return False, {"code": "BUSY", "message": str(exc)}
@@ -876,8 +645,8 @@ class ClusterGateway:
                 continue
             attempts += 1
             try:
-                header, body = await self._pools[target].call(
-                    "store.get", params, b"", self._route(target, attempts)
+                header, body = await self._call(
+                    target, "store.get", params, attempt=attempts
                 )
             except Exception as exc:
                 self._note_failure(target)
@@ -926,8 +695,8 @@ class ClusterGateway:
         for attempt in range(len(live)):
             target = live[(self._rr + attempt) % len(live)]
             try:
-                header, rbody = await self._pools[target].call(
-                    op, params, body, self._route(target, attempt + 1)
+                header, rbody = await self._call(
+                    target, op, params, body, attempt=attempt + 1
                 )
             except Exception as exc:
                 self._note_failure(target)
@@ -978,9 +747,7 @@ class ClusterGateway:
 
     async def _shard_call(self, shard: str, op: str) -> dict:
         try:
-            header, _ = await self._pools[shard].call(
-                op, {}, b"", self._route(shard, 0)
-            )
+            header, _ = await self._call(shard, op)
         except Exception as exc:
             return {"error": str(exc)}
         if not header.get("ok"):
@@ -1058,69 +825,13 @@ class ClusterGateway:
             agg["hit_rate"] = agg.get("cache_hits", 0) / lookups
         return agg
 
-    @staticmethod
-    def _count(name: str, n: int = 1) -> None:
-        if telemetry.is_enabled():
-            _METRICS.counter(name).add(n)
-
 
 # ---------------------------------------------------------------------------
-# thread-hosted gateway (tests, benchmarks, notebooks)
-
-
-class GatewayHandle:
-    """A running gateway hosted on a background thread (see ``stop``)."""
-
-    def __init__(self, gateway: ClusterGateway, loop: asyncio.AbstractEventLoop,
-                 thread: threading.Thread) -> None:
-        self.gateway = gateway
-        self.host = gateway.config.host
-        self.port = gateway.port
-        self._loop = loop
-        self._thread = thread
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._thread.is_alive():
-            asyncio.run_coroutine_threadsafe(
-                self.gateway.stop(), self._loop
-            ).result(timeout)
-            self._thread.join(timeout)
-
-    def __enter__(self) -> "GatewayHandle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
+# thread-hosted gateway (tests, notebooks, smoke scripts)
 
 
 def gateway_in_thread(config: GatewayConfig,
-                      start_timeout: float = 30.0) -> GatewayHandle:
-    """Start a :class:`ClusterGateway` on a daemon thread."""
-    gateway = ClusterGateway(config)
-    started = threading.Event()
-    boot_error: list[BaseException] = []
-    holder: dict = {}
-
-    def run() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        holder["loop"] = loop
-        try:
-            loop.run_until_complete(gateway.start())
-        except BaseException as exc:
-            boot_error.append(exc)
-            started.set()
-            return
-        started.set()
-        try:
-            loop.run_until_complete(gateway._stopped.wait())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=run, name="pastri-gateway", daemon=True)
-    thread.start()
-    if not started.wait(start_timeout):
-        raise ServiceError("gateway failed to start within the timeout")
-    if boot_error:
-        raise boot_error[0]
-    return GatewayHandle(gateway, holder["loop"], thread)
+                      start_timeout: float = 30.0) -> EndpointHandle:
+    """Start a :class:`ClusterGateway` on a daemon thread (see
+    :func:`~repro.service.endpoint.run_in_thread`)."""
+    return run_in_thread(ClusterGateway(config), start_timeout)

@@ -7,7 +7,7 @@ integrals can be compressed centrally and fetched on demand — the
 producer/consumer split the paper's GAMESS deployment and the FPGA /
 hierarchical-matrix ERI backends in PAPERS.md all assume.
 
-Four modules:
+Five modules:
 
 * :mod:`repro.service.protocol` — the length-prefixed framed wire format
   (JSON header + raw binary payload) shared by both ends, with
@@ -15,13 +15,16 @@ Four modules:
   reads for the zero-copy data plane;
 * :mod:`repro.service.buffers` — reusable growable payload buffers and a
   small free-list pool (``service.buffers.*`` telemetry);
+* :mod:`repro.service.endpoint` — the frame-serving loop, error mapping,
+  bounded stop and thread host that the server and the cluster gateway
+  share;
 * :mod:`repro.service.server` — an asyncio TCP server with micro-batched
   compression fused into the batched kernels (``compress_many``),
   bounded-queue backpressure (BUSY replies, never unbounded buffering),
   per-request deadlines, and graceful drain on SIGTERM;
 * :mod:`repro.service.client` — sync and async clients with connection
   reuse, a per-connection receive buffer (no per-request allocation on
-  the happy path), timeouts, and
+  the happy path), a multiplexed async connection, timeouts, and
   retry-with-exponential-backoff-and-jitter on BUSY and connection
   errors.
 

@@ -1,10 +1,14 @@
 """Service clients: sync and async, with retry, backoff, and jitter.
 
-:class:`ServiceClient` is the blocking client — one reused TCP connection,
-one request in flight at a time (the server pipelines across *clients*,
-not within a connection).  :class:`AsyncServiceClient` is its asyncio twin
-for event-loop callers.  Both speak :mod:`repro.service.protocol` and
-raise the typed :mod:`repro.errors` hierarchy.
+:class:`ServiceClient` is the blocking client: one reused TCP connection,
+one request in flight at a time.  :class:`AsyncServiceClient` is its
+asyncio counterpart for event-loop callers.  It runs on a
+:class:`Connection`, which carries many requests at once: each reply is
+matched to its request by ``id``, and the server answers in whatever
+order the requests finish.  The cluster gateway forwards to its shards
+over the same :class:`Connection`.  Both clients speak
+:mod:`repro.service.protocol` and raise the typed :mod:`repro.errors`
+hierarchy.
 
 Retries follow :class:`RetryPolicy`: BUSY/SHUTTING_DOWN replies and
 connection failures back off exponentially with full jitter
@@ -34,7 +38,7 @@ from repro.errors import (
 from repro.service import protocol
 from repro.service.buffers import PayloadBuffer
 
-__all__ = ["RetryPolicy", "ServiceClient", "AsyncServiceClient"]
+__all__ = ["RetryPolicy", "ServiceClient", "AsyncServiceClient", "Connection"]
 
 
 @dataclass(frozen=True)
@@ -56,11 +60,21 @@ def _is_retryable(exc: Exception) -> bool:
         return True
     if isinstance(exc, ServiceError):  # ProtocolError / RemoteError: surface
         return False
-    return isinstance(exc, (ConnectionError, socket.timeout, OSError))
+    # ConnectionError and socket.timeout are OSErrors; asyncio.TimeoutError
+    # is one only from Python 3.11 on
+    return isinstance(exc, (OSError, asyncio.TimeoutError))
 
 
 def _retry_hint(exc: Exception) -> float:
     return exc.retry_after_s if isinstance(exc, ServerBusyError) else 0.0
+
+
+def _array_request(data: np.ndarray, dims, **params) -> tuple[dict, memoryview]:
+    """Params and zero-copy payload of an op that carries a float64 array."""
+    payload, params["n"] = protocol.array_to_view(data)
+    if dims is not None:
+        params["dims"] = [int(d) for d in dims]
+    return params, payload
 
 
 class ServiceClient:
@@ -147,7 +161,9 @@ class ServiceClient:
             frame = protocol.read_frame_socket(
                 self._sock, self._recv_buf, self.max_payload
             )
-        except (ConnectionError, socket.timeout, OSError):
+        except (OSError, ProtocolError):
+            # a framing error leaves the rest of the reply unread: the byte
+            # stream is out of step, so the next call must reconnect
             self.close()
             raise
         if frame is None:
@@ -183,10 +199,7 @@ class ServiceClient:
         """Compress ``data`` remotely; returns ``(blob, info)`` where info
         carries ``n``, ``compressed_bytes``, ``ratio``, and the applied
         ``eb``."""
-        payload, n = protocol.array_to_view(data)
-        params: dict = {"eb": float(eb), "n": n}
-        if dims is not None:
-            params["dims"] = [int(d) for d in dims]
+        params, payload = _array_request(data, dims, eb=float(eb))
         result, body = self._roundtrip("compress", params, payload)
         # the view aliases the reusable receive buffer; the blob escapes
         # this call, so materialize it (the one copy on this path)
@@ -200,10 +213,7 @@ class ServiceClient:
     def put(self, key, block: np.ndarray, dims=None) -> dict:
         """Store one block under ``key`` (compressed server-side at the
         store's error bound)."""
-        payload, n = protocol.array_to_view(block)
-        params: dict = {"key": key, "n": n}
-        if dims is not None:
-            params["dims"] = [int(d) for d in dims]
+        params, payload = _array_request(block, dims, key=key)
         result, _ = self._roundtrip("store.put", params, payload)
         return result
 
@@ -259,11 +269,110 @@ class ServiceClient:
         return result, bytes(body)
 
 
+class Connection:
+    """One asyncio PSRV connection that carries many calls at once.
+
+    Each call sends its frame under a fresh request ``id`` and awaits a
+    future that one reader task resolves when the reply with that id
+    arrives, in whatever order the peer answers.  A cancelled or timed-out
+    call drops only its own future; its late reply is read and discarded.
+    A transport or framing failure fails every pending call and closes the
+    connection; the next call reconnects.
+    """
+
+    def __init__(self, host: str, port: int,
+                 max_payload: int = protocol.DEFAULT_MAX_PAYLOAD) -> None:
+        self.host = host
+        self.port = port
+        self.max_payload = max_payload
+        self._writer: asyncio.StreamWriter | None = None
+        self._reader_task: asyncio.Task | None = None
+        self._pending: dict[int, asyncio.Future] = {}  # request id -> reply
+        self._connecting = asyncio.Lock()
+        self._next_id = 0
+
+    async def call(self, op: str, params: dict | None = None, payload=b"",
+                   route: dict | None = None) -> tuple[dict, bytes]:
+        """Send one request; returns the raw reply ``(header, payload)``.
+
+        Error *replies* come back as headers (``ok: false``); only transport
+        and framing failures raise.  The payload goes out uncopied.
+        """
+        writer = await self._connect()
+        self._next_id += 1
+        req_id = self._next_id
+        reply = self._pending[req_id] = asyncio.get_running_loop().create_future()
+        try:
+            writer.writelines(
+                protocol.encode_request_parts(op, req_id, params, payload, route)
+            )
+            try:
+                await writer.drain()
+            except OSError:
+                pass  # the reader task fails this call's reply with the cause
+            return await reply
+        finally:
+            self._pending.pop(req_id, None)
+
+    async def _connect(self) -> asyncio.StreamWriter:
+        async with self._connecting:
+            if self._writer is None:
+                reader, self._writer = await asyncio.open_connection(
+                    self.host, self.port
+                )
+                self._reader_task = asyncio.ensure_future(
+                    self._read_replies(reader, self._writer)
+                )
+            return self._writer
+
+    async def _read_replies(self, reader: asyncio.StreamReader,
+                            writer: asyncio.StreamWriter) -> None:
+        """Resolve pending calls by request id until the connection fails."""
+        failure: Exception = ConnectionAbortedError("connection closed")
+        try:
+            while True:
+                frame = await protocol.read_frame_async(reader, self.max_payload)
+                if frame is None:
+                    raise ConnectionResetError("peer closed the connection")
+                header = frame[0]
+                if header.get("id") is None:  # a refusal that names no request
+                    protocol.raise_for_error(header)
+                reply = self._pending.pop(header.get("id"), None)
+                if reply is not None and not reply.done():
+                    reply.set_result(frame)
+        except Exception as exc:  # every pending call raises it
+            failure = exc
+        finally:
+            # calls register only while ``_writer`` is this connection's, so
+            # ``_pending`` now holds exactly the calls that it strands
+            self._writer = self._reader_task = None
+            pending, self._pending = self._pending, {}
+            writer.close()
+            for reply in pending.values():
+                if not reply.done():
+                    reply.set_exception(failure)
+
+    async def close(self) -> None:
+        """Close the connection; calls still pending fail with a
+        :class:`ConnectionError`.  A later call reconnects."""
+        task, writer = self._reader_task, self._writer
+        if task is None:
+            return
+        task.cancel()
+        await asyncio.gather(task, return_exceptions=True)
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+
+
 class AsyncServiceClient:
     """Asyncio client with the same surface as :class:`ServiceClient`.
 
-    One connection, one request at a time (an internal lock serializes
-    concurrent callers); retry/backoff identical to the sync client.
+    Concurrent calls share one multiplexed :class:`Connection`, so a slow
+    request does not hold up the others.  ``timeout`` bounds each call,
+    connect included; a call that times out drops only its own reply.
+    Retry and backoff are identical to the sync client.
     """
 
     def __init__(
@@ -279,26 +388,10 @@ class AsyncServiceClient:
         self.timeout = timeout
         self.retry = retry or RetryPolicy()
         self.max_payload = max_payload
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._lock = asyncio.Lock()
-        self._next_id = 0
-
-    async def _connect(self) -> None:
-        if self._writer is not None:
-            return
-        self._reader, self._writer = await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port), self.timeout
-        )
+        self._conn = Connection(host, port, max_payload)
 
     async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._reader = self._writer = None
+        await self._conn.close()
 
     async def __aenter__(self) -> "AsyncServiceClient":
         return self
@@ -306,59 +399,25 @@ class AsyncServiceClient:
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.close()
 
-    async def _roundtrip_once(self, op: str, params: dict, payload: bytes
-                              ) -> tuple[dict, bytes]:
-        await self._connect()
-        self._next_id += 1
-        req_id = self._next_id
-        try:
-            self._writer.writelines(
-                protocol.encode_request_parts(op, req_id, params, payload)
-            )
-            await asyncio.wait_for(self._writer.drain(), self.timeout)
-            frame = await asyncio.wait_for(
-                protocol.read_frame_async(self._reader, self.max_payload),
-                self.timeout,
-            )
-        except (ConnectionError, asyncio.TimeoutError, OSError):
-            await self.close()
-            raise
-        if frame is None:
-            await self.close()
-            raise ConnectionResetError("server closed the connection mid-request")
-        header, body = frame
-        got = header.get("id")
-        if got is not None and got != req_id:
-            await self.close()
-            raise ProtocolError(
-                f"response id {got} does not match request {req_id}"
-            )
-        return protocol.raise_for_error(header), body
-
     async def _roundtrip(self, op: str, params: dict | None = None,
                          payload: bytes = b"") -> tuple[dict, bytes]:
         params = params or {}
         attempt = 0
-        async with self._lock:
-            while True:
-                try:
-                    return await self._roundtrip_once(op, params, payload)
-                except Exception as exc:
-                    if isinstance(exc, asyncio.TimeoutError):
-                        retryable = True
-                    else:
-                        retryable = _is_retryable(exc)
-                    if not retryable or attempt >= self.retry.max_retries:
-                        raise
-                    await asyncio.sleep(self.retry.delay(attempt, _retry_hint(exc)))
-                    attempt += 1
+        while True:
+            try:
+                header, body = await asyncio.wait_for(
+                    self._conn.call(op, params, payload), self.timeout
+                )
+                return protocol.raise_for_error(header), body
+            except Exception as exc:
+                if not _is_retryable(exc) or attempt >= self.retry.max_retries:
+                    raise
+                await asyncio.sleep(self.retry.delay(attempt, _retry_hint(exc)))
+                attempt += 1
 
     async def compress(self, data: np.ndarray, eb: float, dims=None
                        ) -> tuple[bytes, dict]:
-        payload, n = protocol.array_to_view(data)
-        params: dict = {"eb": float(eb), "n": n}
-        if dims is not None:
-            params["dims"] = [int(d) for d in dims]
+        params, payload = _array_request(data, dims, eb=float(eb))
         result, body = await self._roundtrip("compress", params, payload)
         return body, result
 
@@ -367,10 +426,7 @@ class AsyncServiceClient:
         return protocol.payload_to_array(body, result.get("n"))
 
     async def put(self, key, block: np.ndarray, dims=None) -> dict:
-        payload, n = protocol.array_to_view(block)
-        params: dict = {"key": key, "n": n}
-        if dims is not None:
-            params["dims"] = [int(d) for d in dims]
+        params, payload = _array_request(block, dims, key=key)
         result, _ = await self._roundtrip("store.put", params, payload)
         return result
 

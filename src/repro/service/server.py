@@ -23,8 +23,10 @@ without being processed, so a stampede cannot build an invisible backlog.
 
 On SIGTERM (and SIGINT) the server drains gracefully: the listener
 closes, queued and in-flight requests finish, live connections are
-closed (see :func:`hang_up`), then the store and pool shut down — a
-spill-backed store finalizes its container footer.
+closed, then the store and pool shut down — a spill-backed store
+finalizes its container footer.  The connection loop, the drain order
+and the thread host are shared with the cluster gateway
+(:mod:`repro.service.endpoint`).
 
 Every request is traced with a ``service.request`` span (grafted into the
 telemetry buffer whole, so concurrent coroutines cannot mis-nest) and
@@ -36,8 +38,6 @@ running server.
 from __future__ import annotations
 
 import asyncio
-import signal
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -45,43 +45,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import api, telemetry
-from repro.errors import (
-    ParameterError,
-    ProtocolError,
-    ReproError,
-    ServiceError,
-)
+from repro.errors import DeadlineExceeded, ParameterError
 from repro.pipeline.store import (
     CompressedERIStore,
     ContainerBackend,
     _revive_key,
 )
 from repro.service import buffers, protocol
+from repro.service.endpoint import Endpoint, EndpointHandle, run_in_thread
 from repro.telemetry import REGISTRY as _METRICS
 from repro.telemetry.spans import adopt_spans
 
-__all__ = ["ServerConfig", "CompressionServer", "serve_in_thread", "ServerHandle"]
-
-#: seconds a stopping server gives hung-up peers to take their last
-#: replies before it resets the connections still open
-HANGUP_GRACE_S = 5.0
-
-
-async def hang_up(conns: dict[asyncio.StreamWriter, asyncio.Task]) -> None:
-    """Close every live connection and await its handler task.
-
-    ``conns`` maps each writer to its handler, which removes its own entry
-    on exit.  A peer that has not read its last replies within
-    :data:`HANGUP_GRACE_S` is reset, so it cannot hold up a stop.
-    """
-    for writer in list(conns):
-        writer.close()
-    if not conns:
-        return
-    _, stuck = await asyncio.wait(list(conns.values()), timeout=HANGUP_GRACE_S)
-    for writer in list(conns):
-        writer.transport.abort()
-    await asyncio.gather(*stuck, return_exceptions=True)
+__all__ = ["ServerConfig", "CompressionServer", "serve_in_thread"]
 
 
 @dataclass
@@ -137,21 +112,23 @@ class ServerConfig:
 class _Request:
     """One admitted request moving through the server."""
 
-    __slots__ = ("header", "payload", "future", "arrived", "op")
+    __slots__ = ("header", "payload", "future", "arrived")
 
     def __init__(self, header: dict, payload: bytes, future: asyncio.Future) -> None:
         self.header = header
         self.payload = payload
         self.future = future
         self.arrived = time.monotonic()
-        self.op = header.get("op")
 
 
-class CompressionServer:
+class CompressionServer(Endpoint):
     """The asyncio TCP server; see the module docstring for semantics."""
 
+    role = "server"
+    metric_prefix = "service"
+
     def __init__(self, config: ServerConfig | None = None) -> None:
-        self.config = config or ServerConfig()
+        super().__init__(config or ServerConfig())
         self.codec = self.config.codec or api.get_codec(
             self.config.codec_name, **self.config.codec_kwargs
         )
@@ -172,7 +149,6 @@ class CompressionServer:
             readahead_depth=self.config.readahead,
             hot_cache_policy=self.config.store_policy,
         )
-        self._server: asyncio.AbstractServer | None = None
         self._queue: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None
         self._executor = ThreadPoolExecutor(
@@ -181,25 +157,11 @@ class CompressionServer:
         )
         self._pool = None  # CodecWorkerPool, created on start when n_workers > 1
         self._inflight_bytes = 0
-        self._draining = False
-        self._started = time.monotonic()
-        self._tasks: set[asyncio.Task] = set()
-        self._conns: dict[asyncio.StreamWriter, asyncio.Task] = {}  # -> handler
-        self._stopped = asyncio.Event()
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- lifecycle hooks ---------------------------------------------------------
 
-    @property
-    def port(self) -> int:
-        """The bound TCP port (valid after :meth:`start`)."""
-        if self._server is None:
-            raise ServiceError("server is not started")
-        return self._server.sockets[0].getsockname()[1]
-
-    async def start(self) -> None:
-        """Bind the listener and start the batch dispatcher."""
-        if self.config.telemetry:
-            telemetry.enable()
+    async def _open(self) -> None:
+        """Create the worker pool and start the batch dispatcher."""
         if self.config.n_workers > 1 and self.config.codec is None:
             from repro.parallel.pool import CodecWorkerPool
 
@@ -210,211 +172,64 @@ class CompressionServer:
             )
         self._queue = asyncio.Queue(maxsize=self.config.max_queue)
         self._dispatcher = asyncio.ensure_future(self._batch_dispatcher())
-        self._started = time.monotonic()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
 
-    async def serve_forever(self) -> None:
-        """Run until :meth:`stop` (or SIGTERM/SIGINT on platforms with
-        signal-handler support) initiates the drain."""
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    sig, lambda: asyncio.ensure_future(self.stop())
-                )
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                break
-        await self._stopped.wait()
-
-    async def stop(self) -> None:
-        """Graceful drain: refuse new work, finish admitted work, release."""
-        if self._draining:
+    async def _quiesce(self, hard: bool) -> None:
+        """Let already-admitted compress requests flow through the
+        dispatcher, or cancel it on a hard kill."""
+        if self._dispatcher is None:
             return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-        # let already-admitted compress requests flow through the dispatcher
-        if self._queue is not None:
+        if hard:
+            self._dispatcher.cancel()
+        else:
             await self._queue.put(None)  # dispatcher shutdown sentinel
-        if self._dispatcher is not None:
-            await self._dispatcher
-        if self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
-        # admitted work has replied: hang up, so no handler outlives the
-        # loop; only then can wait_closed() return (Python 3.12+ waits for
-        # every accepted connection)
-        await hang_up(self._conns)
-        if self._server is not None:
-            await self._server.wait_closed()
+        await asyncio.gather(self._dispatcher, return_exceptions=True)
+
+    async def _release(self, hard: bool) -> None:
+        """Shut the pool, executor and store down.  A hard kill *aborts* the
+        store, leaving the footerless spill container a SIGKILLed process
+        leaves; a successor comes back through the salvage path."""
+        if hard:
+            self._executor.shutdown(wait=False, cancel_futures=True)
+            if self._pool is not None:
+                self._pool.terminate()
+            self.store.abort()
+            return
         if self._pool is not None:
             self._pool.close()
         self._executor.shutdown(wait=True)
         self.store.close()
-        self._stopped.set()
 
-    async def abort(self) -> None:
-        """Hard kill (tests/fault injection): die without draining.
+    # -- admission and accounting ------------------------------------------------
 
-        The listener closes, in-flight work is cancelled, and the store is
-        *aborted* — its spill container is left footerless with only the
-        journal describing it, exactly the disk state a SIGKILLed process
-        leaves.  A successor server over the same spill path must come
-        back through the salvage/recovery path (``spill_recover=True``).
-        """
-        if self._draining:
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-        # RST every live connection — peers see the same abrupt reset a
-        # SIGKILLed process would give them, with no drain and no goodbye
-        for writer in list(self._conns):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-        for task in list(self._tasks):
-            task.cancel()
-        pending = [t for t in (*self._tasks, self._dispatcher) if t is not None]
-        if pending:  # let cancellations unwind while the loop still runs
-            await asyncio.gather(*pending, return_exceptions=True)
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        if self._pool is not None:
-            self._pool.terminate()
-        self.store.abort()
-        self._stopped.set()
-
-    # -- connection handling ---------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        write_lock = asyncio.Lock()
-        self._conns[writer] = asyncio.current_task()
-        try:
-            while True:
-                try:
-                    frame = await protocol.read_frame_async(
-                        reader, self.config.max_payload_bytes
-                    )
-                except ProtocolError as exc:
-                    # Structured refusal, then hang up: after a framing error
-                    # the byte stream can no longer be trusted.
-                    self._count("service.protocol_errors")
-                    await self._write(
-                        writer, write_lock,
-                        protocol.encode_error(None, "PROTOCOL", str(exc)),
-                    )
-                    break
-                if frame is None:  # clean disconnect
-                    break
-                header, payload = frame
-                refusal = self._admission_check(header, payload)
-                if refusal is not None:
-                    await self._write(writer, write_lock, refusal)
-                    continue
-                # account in-flight bytes at admission, not inside the task:
-                # several frames can arrive in one event-loop tick, and the
-                # gate must see each other's bytes before any task runs
-                self._inflight_bytes += len(payload)
-                task = asyncio.ensure_future(
-                    self._serve_request(header, payload, writer, write_lock)
-                )
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._conns.pop(writer, None)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    def _admission_check(self, header: dict, payload: bytes) -> bytes | None:
+    def _admit(self, header: dict, payload: bytes) -> bytes | None:
         """Backpressure gate; returns a refusal frame or ``None`` to admit."""
-        req_id = header.get("id")
         if self._draining:
-            return protocol.encode_error(
-                req_id, "SHUTTING_DOWN", "server is draining", retry_after_s=0.2
-            )
+            return super()._admit(header, payload)
         if self._inflight_bytes + len(payload) > self.config.max_inflight_bytes:
-            self._count("service.busy")
-            return protocol.encode_error(
-                req_id, "BUSY",
-                f"in-flight bytes limit reached ({self.config.max_inflight_bytes})",
-                retry_after_s=0.05,
-            )
-        if header.get("op") == "compress" and self._queue.full():
-            self._count("service.busy")
-            return protocol.encode_error(
-                req_id, "BUSY",
-                f"compress queue full ({self.config.max_queue})",
-                retry_after_s=0.05,
-            )
-        return None
+            busy = f"in-flight bytes limit reached ({self.config.max_inflight_bytes})"
+        elif header.get("op") == "compress" and self._queue.full():
+            busy = f"compress queue full ({self.config.max_queue})"
+        else:
+            # account in-flight bytes at admission, not inside the task:
+            # several frames can arrive in one event-loop tick, and the gate
+            # must see each other's bytes before any task runs
+            self._inflight_bytes += len(payload)
+            return None
+        self._count("service.busy")
+        return protocol.encode_error(header.get("id"), "BUSY", busy, retry_after_s=0.05)
 
-    async def _write(self, writer, lock: asyncio.Lock, frame) -> None:
-        """Write one frame — ``bytes`` or a writev-style parts list.
-
-        Parts go out via ``writelines`` so a bulk payload (a codec blob, a
-        decompressed array's memoryview) is never concatenated with its
-        header; the transport scatter-gathers straight from the source
-        buffers.
-        """
+    async def _write(self, writer: asyncio.StreamWriter, frame) -> None:
+        await super()._write(writer, frame)
         parts = frame if isinstance(frame, list) else [frame]
-        nbytes = sum(
+        self._count("service.bytes_out", sum(
             p.nbytes if isinstance(p, memoryview) else len(p) for p in parts
-        )
-        async with lock:
-            writer.writelines(parts)
-            await writer.drain()
-        self._count("service.bytes_out", nbytes)
-
-    async def _serve_request(
-        self, header: dict, payload: bytes, writer, write_lock: asyncio.Lock
-    ) -> None:
-        op = header.get("op")
-        req_id = header.get("id")
-        t0 = time.perf_counter()
-        try:
-            reply = await self._dispatch(header, payload)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            reply = self._error_reply(req_id, exc)
-        finally:
-            self._inflight_bytes -= len(payload)
-        wall = time.perf_counter() - t0
-        self._record_request(op, wall, len(payload))
-        try:
-            await self._write(writer, write_lock, reply)
-        except (ConnectionError, OSError):
-            pass  # client went away; the work is already accounted
-
-    def _error_reply(self, req_id, exc: Exception) -> bytes:
-        if isinstance(exc, ParameterError):
-            return protocol.encode_error(req_id, "BAD_REQUEST", str(exc))
-        if isinstance(exc, KeyError):
-            self._count("service.not_found")
-            return protocol.encode_error(req_id, "NOT_FOUND", str(exc))
-        if isinstance(exc, _Deadline):
-            self._count("service.deadline")
-            return protocol.encode_error(req_id, "DEADLINE", str(exc))
-        self._count("service.errors")
-        kind = type(exc).__name__ if isinstance(exc, ReproError) else "unexpected error"
-        return protocol.encode_error(req_id, "INTERNAL", f"{kind}: {exc}")
+        ))
 
     def _record_request(self, op: str | None, wall_s: float, bytes_in: int) -> None:
-        self._count("service.requests")
+        super()._record_request(op, wall_s, bytes_in)
         self._count(f"service.requests.{op or 'unknown'}")
         self._count("service.bytes_in", bytes_in)
         if telemetry.is_enabled():
-            _METRICS.timer("service.request").observe(wall_s, nbytes=bytes_in)
             # Graft a finished span rather than opening one around awaits:
             # concurrent coroutines share the thread-local span stack, so a
             # live span here could adopt another request's children.
@@ -425,14 +240,15 @@ class CompressionServer:
                 "attrs": {"op": op or "unknown", "bytes_in": bytes_in},
             }])
 
-    @staticmethod
-    def _count(name: str, n: int = 1) -> None:
-        if telemetry.is_enabled():
-            _METRICS.counter(name).add(n)
-
     # -- request dispatch ------------------------------------------------------
 
-    async def _dispatch(self, header: dict, payload: bytes) -> bytes:
+    async def _dispatch(self, header: dict, payload: bytes):
+        try:
+            return await self._serve_op(header, payload)
+        finally:
+            self._inflight_bytes -= len(payload)
+
+    async def _serve_op(self, header: dict, payload: bytes):
         op = header.get("op")
         req_id = header.get("id")
         params = header.get("params") or {}
@@ -448,30 +264,17 @@ class CompressionServer:
             )
         if op == "compress":
             return await self._enqueue_compress(req_id, params, payload)
-        loop = asyncio.get_running_loop()
-        if op == "decompress":
-            return await loop.run_in_executor(
-                self._executor, self._do_decompress, req_id, payload
-            )
-        if op == "store.put":
-            return await loop.run_in_executor(
-                self._executor, self._do_store_put, req_id, params, payload
-            )
-        if op == "store.get":
-            return await loop.run_in_executor(
-                self._executor, self._do_store_get, req_id, params
-            )
-        if op == "store.put_raw":
-            return await loop.run_in_executor(
-                self._executor, self._do_store_put_raw, req_id, params, payload
-            )
-        if op == "store.get_raw":
-            return await loop.run_in_executor(
-                self._executor, self._do_store_get_raw, req_id, params
-            )
-        if op == "store.keys":
-            return await loop.run_in_executor(
-                self._executor, self._do_store_keys, req_id
+        blocking = {
+            "decompress": self._do_decompress,
+            "store.put": self._do_store_put,
+            "store.get": self._do_store_get,
+            "store.put_raw": self._do_store_put_raw,
+            "store.get_raw": self._do_store_get_raw,
+            "store.keys": self._do_store_keys,
+        }.get(op)
+        if blocking is not None:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._executor, blocking, req_id, params, payload
             )
         if op == "store.stats":
             return protocol.encode_response(req_id, self._store_stats())
@@ -520,8 +323,9 @@ class CompressionServer:
         }
 
     # -- blocking op bodies (executor threads) ---------------------------------
+    # each takes (req_id, params, payload) and returns the reply frame
 
-    def _do_decompress(self, req_id, payload: bytes) -> list:
+    def _do_decompress(self, req_id, params: dict, payload: bytes) -> list:
         out = self.codec.decompress(payload)
         body, n = protocol.array_to_view(out)
         buffers.count_borrowed(body.nbytes)
@@ -538,7 +342,7 @@ class CompressionServer:
         self.store.put(key, data, dims=params.get("dims"))
         return protocol.encode_response(req_id, {"stored": True, "n": int(data.size)})
 
-    def _do_store_get(self, req_id, params: dict) -> list:
+    def _do_store_get(self, req_id, params: dict, payload: bytes) -> list:
         if "key" not in params:
             raise ParameterError("store.get requires a 'key' param")
         key = _revive_key(params["key"])
@@ -564,7 +368,7 @@ class CompressionServer:
             req_id, {"stored": True, "raw": True, "n": int(params["n"])}
         )
 
-    def _do_store_keys(self, req_id) -> bytes:
+    def _do_store_keys(self, req_id, params: dict, payload: bytes) -> bytes:
         """Every key this shard holds, in wire form (tuples become lists).
 
         The cluster reshard path scans the fleet with this to compute
@@ -573,7 +377,7 @@ class CompressionServer:
         keys = [list(k) if isinstance(k, tuple) else k for k in self.store.keys()]
         return protocol.encode_response(req_id, {"keys": keys})
 
-    def _do_store_get_raw(self, req_id, params: dict) -> list:
+    def _do_store_get_raw(self, req_id, params: dict, payload: bytes) -> list:
         if "key" not in params:
             raise ParameterError("store.get_raw requires a 'key' param")
         key = _revive_key(params["key"])
@@ -659,7 +463,7 @@ class CompressionServer:
         deadline_s = self.config.request_deadline_ms / 1e3
         for req in batch:
             if time.monotonic() - req.arrived > deadline_s:
-                req.future.set_exception(_Deadline(
+                req.future.set_exception(DeadlineExceeded(
                     f"request spent more than {self.config.request_deadline_ms:g} ms "
                     "queued; dropped unprocessed"
                 ))
@@ -724,85 +528,12 @@ class CompressionServer:
         return blobs
 
 
-class _Deadline(ServiceError):
-    """Internal marker: a queued request expired (wire code ``DEADLINE``)."""
-
-
 # ---------------------------------------------------------------------------
-# thread-hosted server (tests, benchmarks, notebooks)
-
-
-class ServerHandle:
-    """A running server hosted on a background thread.
-
-    ``host``/``port`` identify the live endpoint; :meth:`stop` drains it
-    and joins the thread.  Context-manager use guarantees cleanup.
-    """
-
-    def __init__(self, server: CompressionServer, loop: asyncio.AbstractEventLoop,
-                 thread: threading.Thread) -> None:
-        self.server = server
-        self.host = server.config.host
-        self.port = server.port
-        self._loop = loop
-        self._thread = thread
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._thread.is_alive():
-            asyncio.run_coroutine_threadsafe(self.server.stop(), self._loop).result(
-                timeout
-            )
-            self._thread.join(timeout)
-
-    def kill(self, timeout: float = 10.0) -> None:
-        """Hard-kill the hosted server: no drain, no container footer.
-
-        The crash analogue of :meth:`stop` — see
-        :meth:`CompressionServer.abort`.  Used by the cluster fault tests
-        to simulate shard death without burning a subprocess.
-        """
-        if self._thread.is_alive():
-            asyncio.run_coroutine_threadsafe(
-                self.server.abort(), self._loop
-            ).result(timeout)
-            self._thread.join(timeout)
-
-    def __enter__(self) -> "ServerHandle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
+# thread-hosted server (tests, notebooks)
 
 
 def serve_in_thread(config: ServerConfig | None = None,
-                    start_timeout: float = 30.0) -> ServerHandle:
-    """Start a :class:`CompressionServer` on a daemon thread; returns a
-    :class:`ServerHandle` once the port is bound and accepting."""
-    server = CompressionServer(config)
-    started = threading.Event()
-    boot_error: list[BaseException] = []
-
-    def run() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        holder["loop"] = loop
-        try:
-            loop.run_until_complete(server.start())
-        except BaseException as exc:  # surface bind/codec failures to caller
-            boot_error.append(exc)
-            started.set()
-            return
-        started.set()
-        try:
-            loop.run_until_complete(server._stopped.wait())
-        finally:
-            loop.close()
-
-    holder: dict = {}
-    thread = threading.Thread(target=run, name="pastri-serve", daemon=True)
-    thread.start()
-    if not started.wait(start_timeout):
-        raise ServiceError("server failed to start within the timeout")
-    if boot_error:
-        raise boot_error[0]
-    return ServerHandle(server, holder["loop"], thread)
+                    start_timeout: float = 30.0) -> EndpointHandle:
+    """Start a :class:`CompressionServer` on a daemon thread (see
+    :func:`~repro.service.endpoint.run_in_thread`)."""
+    return run_in_thread(CompressionServer(config), start_timeout)

@@ -13,11 +13,12 @@ acceptance criteria directly:
   (``service.buffers.bytes_copied`` delta stays 0 — same telemetry
   discipline as the PR 7 data plane);
 * ``cluster.stats`` aggregates fleet health and per-shard stores;
-* ``stop()`` hangs up on connected clients before its loop closes.
+* ``stop()`` hangs up on connected clients before its loop closes, and a
+  peer that never reads its reply cannot hold it up.
 """
 
-import asyncio
 import socket
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ import pytest
 from repro import telemetry
 from repro.cluster import LocalFleet
 from repro.errors import RemoteError
+from repro.service import endpoint as endpoint_mod
 from repro.service import protocol
+from tests.conftest import sixteen_mib_blob, stalled_peer
 
 EB = 1e-10
 SHAPE = (4, 4, 4, 4)
@@ -71,7 +74,7 @@ class TestRouting:
                 assert np.max(np.abs(out - data)) <= EB
 
     def test_put_lands_on_the_preference_list(self, fleet):
-        ring = fleet.gateway.gateway.ring
+        ring = fleet.gateway.endpoint.ring
         with fleet.client() as c:
             blocks = _fill(c, 8)
         for key in blocks:
@@ -85,7 +88,7 @@ class TestRouting:
                             sc.get(key)
 
     def test_replicas_hold_identical_bytes(self, fleet):
-        ring = fleet.gateway.gateway.ring
+        ring = fleet.gateway.endpoint.ring
         with fleet.client() as c:
             c.put(("blk", 0), _block(0))
         a, b = ring.preference(("blk", 0), 2)
@@ -189,7 +192,8 @@ class TestStats:
 class TestLifecycle:
     def test_stop_hangs_up_on_connected_clients(self, fleet):
         """A client connected across ``stop()`` sees EOF at once, and the
-        gateway's loop closes with no connection handler still pending."""
+        gateway's loop closes with no connection handler still pending
+        (the thread host's ``stop()`` raises on a leaked task)."""
         handle = fleet.gateway
         with socket.create_connection((handle.host, handle.port), timeout=5) as sock:
             fh = sock.makefile("rb")
@@ -198,4 +202,17 @@ class TestLifecycle:
             assert header["ok"]
             handle.stop()
             assert fh.read(1) == b""  # EOF, not the 5 s socket timeout
-        assert not asyncio.all_tasks(handle._loop)
+
+    def test_stop_is_bounded_when_a_peer_never_reads_its_reply(
+            self, tmp_path, monkeypatch):
+        """The gateway relays a 16 MiB decompress reply to a peer that never
+        reads it; ``stop()`` gives the stuck request the grace period, then
+        resets the connection."""
+        monkeypatch.setattr(endpoint_mod, "HANGUP_GRACE_S", 0.2)
+        request = protocol.encode_request("decompress", 1, {}, sixteen_mib_blob(EB))
+        with LocalFleet(2, str(tmp_path), replication=2) as fleet:
+            handle = fleet.gateway
+            with stalled_peer(handle.host, handle.port, request, handle.endpoint):
+                t0 = time.monotonic()
+                handle.stop(timeout=8)
+                assert time.monotonic() - t0 < 5.0

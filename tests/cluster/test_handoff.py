@@ -95,7 +95,7 @@ class TestKillPointMatrix:
     def test_drained_shard_serves_hinted_keys_byte_identically(self, tmp_path):
         fleet = _fleet(tmp_path)
         with fleet:
-            gw = fleet.gateway.gateway
+            gw = fleet.gateway.endpoint
             with fleet.client() as c:
                 fleet.kill("shard-02")
                 blocks = {("blk", i): _block(i) for i in range(10)}
@@ -118,7 +118,7 @@ class TestKillPointMatrix:
     def test_hints_record_the_true_preference_owners(self, tmp_path):
         fleet = _fleet(tmp_path)
         with fleet:
-            gw = fleet.gateway.gateway
+            gw = fleet.gateway.endpoint
             with fleet.client() as c:
                 fleet.kill("shard-00")
                 for i in range(12):
@@ -194,7 +194,7 @@ class TestRejoinTelemetry:
                 # buffer are legitimately lost there — the replica covers
                 # them, which the kill-point matrix asserts via the
                 # gateway; hinted keys must be present *directly*)
-                ring = fleet.gateway.gateway.ring
+                ring = fleet.gateway.endpoint.ring
                 with fleet.shard_client("shard-01") as sc:
                     for i in range(8):
                         key = ("post", i)

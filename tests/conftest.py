@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import socket
+import time
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -39,6 +42,28 @@ def make_patterned_stream(
     blocks = amp * bra * ket * (1.0 + rel_dev * rng.standard_normal((n_blocks, M, L)))
     blocks[:zero_blocks] = 0.0
     return blocks.reshape(-1)
+
+
+def sixteen_mib_blob(eb: float = 1e-10) -> bytes:
+    """A PaSTRI blob that decodes to 16 MiB (8192 zero blocks of dims (4,4,4,4))."""
+    from repro.core import PaSTRICompressor
+
+    return PaSTRICompressor(dims=(4, 4, 4, 4)).compress(np.zeros(8192 * 256), eb)
+
+
+def stalled_peer(host: str, port: int, frame: bytes, endpoint) -> socket.socket:
+    """Send ``frame`` from a socket with a 4 KiB receive buffer that never
+    reads; returns it once ``endpoint`` has a reply backed up in its
+    transport.  The caller closes the socket."""
+    peer = socket.socket()
+    peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    peer.connect((host, port))
+    peer.sendall(frame)
+    deadline = time.monotonic() + 30
+    while not any(w.transport.get_write_buffer_size() for w in list(endpoint._conns)):
+        assert time.monotonic() < deadline, "the reply never backed up"
+        time.sleep(0.01)
+    return peer
 
 
 def make_class_block(

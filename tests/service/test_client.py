@@ -1,5 +1,6 @@
 """Client-side behavior: retry policy math, reconnects, error surfacing."""
 
+import asyncio
 import socket
 import threading
 
@@ -21,7 +22,7 @@ from repro.service import (
     protocol,
     serve_in_thread,
 )
-from repro.service.client import _is_retryable
+from repro.service.client import AsyncServiceClient, _is_retryable
 
 EB = 1e-10
 
@@ -203,6 +204,41 @@ class TestRetryBehavior:
         finally:
             srv.close()
             t.join(timeout=5)
+
+
+class TestFramingErrors:
+    """A reply above the client's payload cap is a framing error.  The rest
+    of that reply is never read, so the client must drop the connection
+    rather than parse the leftover bytes as the next reply."""
+
+    @pytest.fixture
+    def server_with_a_128k_block(self):
+        cfg = ServerConfig(codec_kwargs={"dims": [1, 1, 2, 2]}, error_bound=EB)
+        with serve_in_thread(cfg) as h:
+            with ServiceClient(h.host, h.port) as c:
+                c.put("big", np.linspace(0.0, 1.0, 16384))  # 128 KiB decoded
+            yield h
+
+    def test_sync_client_reconnects_after_an_over_cap_reply(
+            self, server_with_a_128k_block):
+        h = server_with_a_128k_block
+        with ServiceClient(h.host, h.port, max_payload=64 << 10) as c:
+            with pytest.raises(ProtocolError, match="exceeds cap"):
+                c.get("big")
+            for _ in range(3):
+                assert c.health()["status"] == "ok"
+
+    def test_async_client_reconnects_after_an_over_cap_reply(
+            self, server_with_a_128k_block):
+        h = server_with_a_128k_block
+
+        async def main():
+            async with AsyncServiceClient(h.host, h.port, max_payload=64 << 10) as c:
+                with pytest.raises(ProtocolError, match="exceeds cap"):
+                    await c.get("big")
+                return [(await c.health())["status"] for _ in range(3)]
+
+        assert asyncio.run(main()) == ["ok"] * 3
 
 
 class TestBufferReuse:

@@ -24,10 +24,16 @@ from repro.errors import (
     ParameterError,
     ServerBusyError,
 )
-from repro.service import RetryPolicy, ServerConfig, ServiceClient, serve_in_thread
-from repro.service import server as server_mod
+from repro.service import (
+    RetryPolicy,
+    ServerConfig,
+    ServiceClient,
+    protocol,
+    serve_in_thread,
+)
+from repro.service import endpoint as endpoint_mod
 from repro.service.client import AsyncServiceClient
-from tests.conftest import make_patterned_stream
+from tests.conftest import make_patterned_stream, sixteen_mib_blob, stalled_peer
 
 EB = 1e-10
 DIMS = (2, 2, 3, 3)
@@ -309,7 +315,7 @@ class TestDrain:
         """A connection whose peer leaves its last bytes unread cannot finish
         closing; ``hang_up`` resets it after the grace period, so a stop
         that hangs up cannot be held up by such a peer."""
-        monkeypatch.setattr(server_mod, "HANGUP_GRACE_S", 0.2)
+        monkeypatch.setattr(endpoint_mod, "HANGUP_GRACE_S", 0.2)
 
         async def scenario():
             conns, buffered = {}, []
@@ -342,7 +348,7 @@ class TestDrain:
                 handler_task = next(iter(conns.values()))
                 t0 = time.monotonic()
                 srv.close()
-                await asyncio.wait_for(server_mod.hang_up(conns), 10)
+                await asyncio.wait_for(endpoint_mod.hang_up(conns), 10)
                 await asyncio.wait_for(srv.wait_closed(), 10)
                 return buffered[0], handler_task.done(), time.monotonic() - t0, conns
 
@@ -350,6 +356,18 @@ class TestDrain:
         assert unsent > 0  # the close really had bytes to flush
         assert handler_done and not conns
         assert elapsed < 5.0
+
+    def test_stop_is_bounded_when_a_peer_never_reads_its_reply(self, monkeypatch):
+        """A reply above the transport's high-water mark holds its request
+        task in ``drain()`` while the peer does not read; ``stop()`` gives
+        admitted work the grace period, then resets the connection."""
+        monkeypatch.setattr(endpoint_mod, "HANGUP_GRACE_S", 0.2)
+        request = protocol.encode_request("decompress", 1, {}, sixteen_mib_blob())
+        with serve_in_thread(_config()) as h:
+            with stalled_peer(h.host, h.port, request, h.endpoint):
+                t0 = time.monotonic()
+                h.stop(timeout=8)
+                assert time.monotonic() - t0 < 5.0
 
 
 class TestAsyncClient:
@@ -391,3 +409,58 @@ class TestAsyncClient:
         # only after its reply is written, so it is not in its own snapshot.
         assert metrics["service.requests"]["value"] >= 3
         assert health["status"] == "ok"
+
+    def test_call_after_a_cancelled_call_succeeds_on_the_same_connection(self):
+        data = np.arange(64, dtype=np.float64)
+        with serve_in_thread(ServerConfig(codec=SlowCodec(0.3))) as h:
+            async def main():
+                async with AsyncServiceClient(h.host, h.port) as c:
+                    await c.health()
+                    writer = c._conn._writer
+                    slow = asyncio.ensure_future(c.compress(data, EB))
+                    await asyncio.sleep(0.1)
+                    slow.cancel()
+                    with pytest.raises(asyncio.CancelledError):
+                        await slow
+                    await asyncio.sleep(0.5)  # the late compress reply lands
+                    health = await c.health()
+                    return health, c._conn._writer is writer
+
+            health, same_connection = asyncio.run(main())
+        assert health["status"] == "ok"
+        assert same_connection
+
+    def test_concurrent_gets_overtake_a_slow_compress(self):
+        """32 gets on one connection, sent behind a slow compress, each get
+        its own key's block, and all of them before the compress replies."""
+        codec = SlowCodec(0.0)
+        blocks = {i: np.full(16, float(i)) for i in range(32)}
+        with serve_in_thread(ServerConfig(codec=codec)) as h:
+            with ServiceClient(h.host, h.port) as c:
+                for key, block in blocks.items():
+                    c.put(key, block)
+            codec.delay_s = 1.0
+
+            async def main():
+                finished = []
+                async with AsyncServiceClient(h.host, h.port) as c:
+                    async def get(key):
+                        block = await c.get(key)
+                        finished.append(key)
+                        return block
+
+                    async def compress():
+                        await c.compress(np.arange(16.0), EB)
+                        finished.append("compress")
+
+                    slow = asyncio.ensure_future(compress())
+                    await asyncio.sleep(0.05)  # the compress goes out first
+                    got = await asyncio.gather(*(get(key) for key in blocks))
+                    await slow
+                return got, finished
+
+            got, finished = asyncio.run(main())
+        for key, block in zip(blocks, got):
+            np.testing.assert_array_equal(block, blocks[key])
+        assert finished[-1] == "compress"
+        assert sorted(finished[:-1]) == sorted(blocks)
