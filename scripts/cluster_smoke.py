@@ -10,6 +10,10 @@ acceptance criteria end to end:
   (the gateway fails over to the surviving replica);
 * writes issued while the shard is dead leave hints; the restarted
   shard drains them and the fleet reports all-up with no open hints;
+* those keys, overwritten right after the restart so each drain races a
+  newer put, end byte-identical on both preference-list shards (keys
+  written before the kill are left out: the killed shard's unspilled
+  blobs are lost by contract);
 * the gateway forward path materialized no payload bytes
   (``service.buffers.bytes_copied`` delta is 0);
 * after teardown no shm segment survives: the in-process ledger is
@@ -102,6 +106,10 @@ def main() -> int:
                     c.put(key, blocks[key])
                 hinted = c.health()["hints_pending"]
                 fleet.restart("shard-01")
+                rewritten = [("blk", i) for i in range(N_BLOCKS, N_BLOCKS + 8)]
+                for key in rewritten:
+                    blocks[key] = rng.normal(size=SHAPE)
+                    c.put(key, blocks[key])
                 deadline = time.monotonic() + RECOVER_DEADLINE_S
                 while time.monotonic() < deadline:
                     h = c.health()
@@ -119,6 +127,20 @@ def main() -> int:
                               file=sys.stderr)
                         return 1
                 copied_delta = _copied() - copied_before
+                # -- replicas converge: read each copy from its shard ---------
+                ring = handle.endpoint.ring
+                addrs = {s.name: (s.host, s.port) for s in fleet.specs}
+                for key in rewritten:
+                    copies = {}
+                    for shard in ring.preference(key, 2):
+                        with ServiceClient(*addrs[shard]) as sc:
+                            _, copies[shard] = sc.call(
+                                "store.get_raw", {"key": list(key)}
+                            )
+                    if len(set(copies.values())) != 1:
+                        print(f"FAIL: replicas {sorted(copies)} of {key} hold "
+                              f"different blobs after rejoin", file=sys.stderr)
+                        return 1
         finally:
             handle.stop()
 
@@ -138,6 +160,7 @@ def main() -> int:
     print(
         f"OK: 3-shard fleet R=2, {len(blocks)} blocks round-tripped, hard kill "
         f"survived with zero failed reads, {hinted} hints drained on rejoin, "
+        f"{len(rewritten)} overwritten keys byte-identical on both replicas, "
         f"0 payload bytes copied, zero leaked shm segments"
     )
     return 0

@@ -173,10 +173,6 @@ class BitReader:
         """Read a single bit."""
         return int(self._take(1)[0])
 
-    def read_bits_array(self, n: int) -> np.ndarray:
-        """Read ``n`` raw bits as a uint8 0/1 array."""
-        return self._take(n)
-
     def read_uint(self, nbits: int) -> int:
         """Read an ``nbits``-wide unsigned integer (MSB first)."""
         if nbits > 64:

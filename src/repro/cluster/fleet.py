@@ -131,12 +131,8 @@ class LocalFleet:
         """Hard-kill one shard: no drain, spill container left footerless."""
         self._handles.pop(name).kill()
 
-    def stop_shard(self, name: str) -> None:
-        """Gracefully drain one shard (footers its spill container)."""
-        self._handles.pop(name).stop()
-
     def restart(self, name: str) -> None:
-        """Bring a killed/stopped shard back on its original address.
+        """Bring a killed shard back on its original address.
 
         ``spill_recover=True`` sends it through the salvage path: whatever
         its previous life spilled is served again; the gateway's health

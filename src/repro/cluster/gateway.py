@@ -33,12 +33,20 @@ ring atomically.  Routing is migration-aware throughout — reads try the
 new ring's owners first and fall back on NOT_FOUND; writes go to the
 union of old and new preference lists — so clients see zero failed
 reads.  See ``docs/CLUSTER.md`` for the full protocol.
+
+**One write order per key.**  Hint drains and reshard copies share one
+:meth:`ClusterGateway._transfer`.  It and every ``store.put`` fan-out
+hold the key's lock, and a put that lands on a shard supersedes any
+transfer of the key still owed there, so no transfer puts older bytes
+over a newer write made through this gateway.  Writes to one key through
+several gateways are still unordered.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
 
 from repro import telemetry
@@ -96,16 +104,13 @@ class GatewayConfig:
 class _Migration:
     """In-flight reshard state: old/new rings plus the keys still to copy.
 
-    ``pending`` maps canonical key json -> ``(key, targets)``; the
-    streaming task pops entries as it copies them, and the write path
-    pops an entry when a dual-write already delivered the key to its new
-    owners (see :meth:`note_write`) — so a fresh client write is never
-    clobbered by a stale migration copy.
+    ``pending`` maps canonical key json -> ``(key, targets, sources)``; a
+    put that lands on a target takes it out of ``targets`` (see
+    :meth:`ClusterGateway._supersede`), so no copy overwrites the put.
     """
 
     __slots__ = ("old_ring", "new_ring", "adding", "removing", "total",
-                 "moved", "bytes_moved", "failures", "pending", "current",
-                 "current_dirty")
+                 "moved", "bytes_moved", "failures", "pending")
 
     def __init__(self, old_ring: HashRing, new_ring: HashRing,
                  adding: str | None, removing: str | None,
@@ -119,14 +124,6 @@ class _Migration:
         self.moved = 0
         self.bytes_moved = 0
         self.failures = 0
-        self.current: str | None = None  # key json being copied right now
-        self.current_dirty = False       # a write raced the in-flight copy
-
-    def note_write(self, kj: str) -> None:
-        """A client write just reached the key's new owners directly."""
-        self.pending.pop(kj, None)
-        if self.current == kj:
-            self.current_dirty = True
 
     def status(self) -> dict:
         return {
@@ -165,6 +162,8 @@ class ClusterGateway(Endpoint):
         self._health_task: asyncio.Task | None = None
         self._drain_tasks: set[asyncio.Task] = set()
         self._drain_active: set[str] = set()  # shards with a drain running
+        #: key json -> [lock, holders + waiters]; an entry lives only while used
+        self._key_locks: dict[str, list] = {}
 
     # -- membership ----------------------------------------------------------
 
@@ -272,35 +271,82 @@ class ClusterGateway(Endpoint):
         except Exception:
             self._note_failure(shard)
 
-    # -- hinted handoff ------------------------------------------------------
+    # -- one write order per key ----------------------------------------------
+
+    @asynccontextmanager
+    async def _key_lock(self, key):
+        """Hold ``key``'s lock and yield its json; every put fan-out and
+        transfer of the key does.  The entry lives while held or awaited."""
+        kj = key_bytes(key).decode("utf-8")
+        entry = self._key_locks.setdefault(kj, [asyncio.Lock(), 0])
+        entry[1] += 1
+        try:
+            async with entry[0]:
+                yield kj
+        finally:
+            entry[1] -= 1
+            if not entry[1]:
+                del self._key_locks[kj]
+
+    def _supersede(self, key, kj: str, landed: list[str]) -> None:
+        """A put landed on ``landed``: drop every transfer still owed there."""
+        for shard in landed:
+            if self.hints.owes(shard, key):
+                self.hints.drained(shard, key)
+                self._count("cluster.hints.superseded")
+        mig = self._migration
+        if mig is not None and kj in mig.pending:
+            _, targets, _ = mig.pending[kj]
+            targets[:] = [t for t in targets if t not in landed]
+            if not targets:
+                del mig.pending[kj]
+
+    async def _transfer(self, key, sources: list[str], targets: list[str]
+                        ) -> tuple[str | None, list[str], int]:
+        """Copy one raw blob, byte-identical, from the first live source
+        to every target; callers hold the key's lock.  Non-members are
+        skipped.  Returns ``(source, failed_targets, nbytes)``; ``source``
+        is None, and every target failed, when no source had the key."""
+        targets = [t for t in targets if t in self._links]
+        for source in sources:
+            if source in self._down or source not in self._links:
+                continue
+            try:
+                rh, body = await self._call(source, "store.get_raw", {"key": key})
+            except Exception:
+                self._note_failure(source)
+                continue
+            if not rh.get("ok"):
+                continue
+            result = rh.get("result", {})
+            params = {"key": key, "n": result.get("n"), "dims": result.get("dims")}
+            buffers.count_borrowed(len(body) * max(len(targets), 1))
+            failed = []
+            for target in targets:
+                try:
+                    good, _ = await self._put_one(
+                        target, params, memoryview(body), "store.put_raw"
+                    )
+                except ParameterError:
+                    good = False  # refused: a failed target, not the end
+                if not good:
+                    failed.append(target)
+            return source, failed, len(body)
+        return None, targets, 0
 
     async def _drain_hints(self, shard: str) -> None:
         """Hand every hinted block back to its rightful, rejoined owner."""
-        for key, holder in self.hints.pending(shard):
-            if holder not in self._links or shard not in self._links:
-                continue  # membership changed under us mid-drain
-            try:
-                # raw blob transfer: the rejoined owner ends up holding
-                # byte-identical compressed bytes, no decode/re-encode
-                rh, body = await self._call(holder, "store.get_raw", {"key": key})
-                if not rh.get("ok"):
+        for key, _ in self.hints.pending(shard):
+            async with self._key_lock(key):
+                holder = self.hints.owes(shard, key)
+                if holder is None:
+                    continue  # a put reached the owner first
+                _, failed, _ = await self._transfer(key, [holder], [shard])
+                if failed:
                     self._count("cluster.hints.drain_failures")
-                    continue
-                result = rh.get("result", {})
-                ph, _ = await self._call(
-                    shard, "store.put_raw",
-                    {"key": key, "n": result.get("n"),
-                     "dims": result.get("dims")},
-                    memoryview(body),
-                )
-            except Exception:
-                self._count("cluster.hints.drain_failures")
-                continue
-            if ph.get("ok"):
-                self.hints.drained(shard, key)
-                self._count("cluster.hints.drained")
-            else:
-                self._count("cluster.hints.drain_failures")
+                else:
+                    self.hints.drained(shard, key)
+                    self._count("cluster.hints.drained")
 
     # -- routing -------------------------------------------------------------
 
@@ -441,14 +487,13 @@ class ClusterGateway(Endpoint):
                            add: bool) -> dict:
         """Compute the remapped key set, stream it, flip the ring.
 
-        Only keys whose new preference list gained a shard move, and
-        they move as raw compressed blobs (``store.get_raw`` →
-        ``store.put_raw``) — no decode/re-encode, byte-identical on the
-        new owner.  The serving path keeps running throughout: reads
-        prefer the new owner and fall back (:meth:`_candidates`), writes
-        go to the union of old and new owners (:meth:`_put_targets`).
-        The flip itself is two plain assignments between awaits — atomic
-        under asyncio's single-threaded execution.
+        Only keys whose new preference list gained a shard move, as raw
+        blobs through :meth:`_transfer`.  The serving path keeps running
+        throughout: reads prefer the new owner and fall back
+        (:meth:`_candidates`), writes go to the union of old and new
+        owners (:meth:`_put_targets`).  The flip itself is two plain
+        assignments between awaits — atomic under asyncio's
+        single-threaded execution.
         """
         t0 = time.perf_counter()
         r = self.config.replication
@@ -468,36 +513,26 @@ class ClusterGateway(Endpoint):
         moved: list = []
         try:
             while mig.pending:
-                kj, (key, targets, sources) = next(iter(mig.pending.items()))
-                mig.current = kj
-                copied, nbytes = False, 0
-                for _attempt in range(8):
-                    mig.current_dirty = False
-                    fetched, failed, nbytes = await self._copy_key(
-                        key, targets, sources
+                kj, (key, _, _) = next(iter(mig.pending.items()))
+                async with self._key_lock(key):
+                    entry = mig.pending.pop(kj, None)
+                    if entry is None:
+                        continue  # puts reached every target first
+                    _, targets, sources = entry
+                    source, failed, nbytes = await self._transfer(
+                        key, sources, targets
                     )
-                    if not fetched:
-                        break
-                    if mig.current_dirty:
-                        # a client write raced this copy: its dual-write
-                        # refreshed the sources too, so re-fetch and
-                        # re-put to guarantee the newest bytes win
-                        continue
-                    copied = not failed
-                    for target in failed:
-                        if sources:
-                            self.hints.record(target, key, sources[0])
+                    if source is not None:
+                        for target in failed:
+                            self.hints.record(target, key, source)
                             self._count("cluster.hints.recorded")
-                    break
-                mig.current = None
-                still_pending = mig.pending.pop(kj, None) is not None
-                if copied:
+                if failed:
+                    mig.failures += 1
+                    self._count("cluster.reshard.copy_failures")
+                else:
                     mig.moved += 1
                     mig.bytes_moved += nbytes
                     moved.append(key)
-                elif still_pending and not mig.current_dirty:
-                    mig.failures += 1
-                    self._count("cluster.reshard.copy_failures")
         finally:
             # the atomic flip: no await between these two statements
             self.ring = mig.new_ring
@@ -517,77 +552,42 @@ class ClusterGateway(Endpoint):
             "duration_s": round(time.perf_counter() - t0, 6),
         }
 
-    async def _copy_key(self, key, targets: list[str], sources: list[str]
-                        ) -> tuple[bool, list[str], int]:
-        """Stream one raw blob from a live source to its new owners.
-
-        Returns ``(fetched, failed_targets, nbytes)``; the blob rides as
-        a borrowed memoryview both ways (zero-copy relay).
-        """
-        for source in sources:
-            if source in self._down or source not in self._links:
-                continue
-            try:
-                rh, body = await self._call(source, "store.get_raw", {"key": key})
-            except Exception:
-                self._note_failure(source)
-                continue
-            if not rh.get("ok"):
-                continue
-            result = rh.get("result", {})
-            buffers.count_borrowed(len(body) * max(len(targets), 1))
-            failed: list[str] = []
-            for target in targets:
-                try:
-                    ph, _ = await self._call(
-                        target, "store.put_raw",
-                        {"key": key, "n": result.get("n"),
-                         "dims": result.get("dims")},
-                        memoryview(body),
-                    )
-                except Exception:
-                    self._note_failure(target)
-                    failed.append(target)
-                    continue
-                if not ph.get("ok"):
-                    failed.append(target)
-            return True, failed, len(body)
-        return False, list(targets), 0
-
     # -- replicated writes ---------------------------------------------------
 
     async def _routed_put(self, req_id, params: dict, payload: bytes):
         if "key" not in params:
             raise ParameterError("store.put requires a 'key' param")
         key = params["key"]
-        preferred, spares = self._put_targets(key)
-        body = memoryview(payload)
-        buffers.count_borrowed(len(payload) * max(len(preferred), 1))
-        results = await asyncio.gather(
-            *(self._put_one(target, params, body) for target in preferred)
-        )
-        ok_result = None
-        failures: list[tuple[str, dict | None]] = []
-        served_by = []
-        for target, (good, outcome) in zip(preferred, results):
-            if good:
-                served_by.append(target)
-                ok_result = ok_result or outcome
-            else:
-                failures.append((target, outcome))
-        # every unreachable preferred replica gets a hinted stand-in
-        hinted = []
-        holders = [s for s in spares if s not in self._down]
-        for target, _ in failures:
-            while holders:
-                holder = holders.pop(0)
-                good, outcome = await self._put_one(holder, params, body)
+        async with self._key_lock(key) as kj:
+            preferred, spares = self._put_targets(key)
+            body = memoryview(payload)
+            buffers.count_borrowed(len(payload) * max(len(preferred), 1))
+            results = await asyncio.gather(
+                *(self._put_one(target, params, body) for target in preferred)
+            )
+            ok_result = None
+            failures: list[tuple[str, dict | None]] = []
+            served_by = []
+            for target, (good, outcome) in zip(preferred, results):
                 if good:
-                    self.hints.record(target, key, holder)
-                    self._count("cluster.hints.recorded")
-                    hinted.append(holder)
+                    served_by.append(target)
                     ok_result = ok_result or outcome
-                    break
+                else:
+                    failures.append((target, outcome))
+            # every unreachable preferred replica gets a hinted stand-in
+            hinted = []
+            holders = [s for s in spares if s not in self._down]
+            for target, _ in failures:
+                while holders:
+                    holder = holders.pop(0)
+                    good, outcome = await self._put_one(holder, params, body)
+                    if good:
+                        self.hints.record(target, key, holder)
+                        self._count("cluster.hints.recorded")
+                        hinted.append(holder)
+                        ok_result = ok_result or outcome
+                        break
+            self._supersede(key, kj, served_by + hinted)
         if ok_result is None:
             _, err = failures[-1] if failures else (None, None)
             code = (err or {}).get("code", "BUSY")
@@ -596,29 +596,19 @@ class ClusterGateway(Endpoint):
                 req_id, code if code in protocol.ERROR_CODES else "INTERNAL",
                 msg, retry_after_s=0.2,
             )
-        mig = self._migration
-        if mig is not None:
-            new_pref = mig.new_ring.preference(
-                key, min(self.config.replication, len(mig.new_ring))
-            )
-            if all(t in served_by for t in new_pref):
-                # this write just reached every future owner directly —
-                # drop the key from the copy queue (and flag the copier
-                # if it is streaming this very key) so a stale migration
-                # copy can never clobber the fresh bytes
-                mig.note_write(key_bytes(key).decode("utf-8"))
         self._count("cluster.replicated_writes", len(served_by) + len(hinted))
         route = {"shard": (served_by or hinted)[0], "replicas": len(served_by),
                  "hinted": len(hinted)}
         return protocol.encode_response_parts(req_id, ok_result, route=route)
 
-    async def _put_one(self, target: str, params: dict, body
-                       ) -> tuple[bool, dict | None]:
-        """One replica write; ``(ok, result-or-error-dict)``, never raises."""
+    async def _put_one(self, target: str, params: dict, body,
+                       op: str = "store.put") -> tuple[bool, dict | None]:
+        """One replica write; ``(ok, result-or-error-dict)``.  Raises
+        ParameterError only when the shard refuses it as a bad request."""
         if target in self._down:
             return False, {"code": "BUSY", "message": f"{target} is down"}
         try:
-            header, _ = await self._call(target, "store.put", params, body)
+            header, _ = await self._call(target, op, params, body)
         except Exception as exc:
             self._note_failure(target)
             return False, {"code": "BUSY", "message": str(exc)}

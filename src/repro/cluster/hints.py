@@ -6,7 +6,8 @@ intended shard, the key, and the holder.  When the dead shard rejoins
 (its health check recovers — its own spill container comes back through
 the PR 5 salvage path), the gateway *drains*: each hinted block is read
 from its holder and re-put to the rightful owner, restoring the shard to
-a byte-identical serving state for those keys.
+a byte-identical serving state for those keys.  A newer put that reaches
+the shard first supersedes its hint (:meth:`owes`, then :meth:`drained`).
 
 The log is append-only JSON-lines, one record per event::
 
@@ -261,6 +262,12 @@ class HintLog:
             self._compact_hook(stage)
 
     # -- inspection ----------------------------------------------------------
+
+    def owes(self, shard: str, key) -> str | None:
+        """The holder of the open hint owed to ``shard`` for ``key``, if any."""
+        with self._lock:
+            owed = self._open.get(shard, {}).get(_kj(key))
+            return owed[1] if owed else None
 
     def pending(self, shard: str) -> list[tuple[object, str]]:
         """Open ``(key, holder)`` hints owed to ``shard``."""

@@ -96,14 +96,6 @@ def _init_worker_telemetry(telemetry_on: bool) -> None:
         telemetry.disable()
 
 
-def _compress_chunk(args: tuple[np.ndarray, float]) -> tuple[bytes, dict | None]:
-    chunk, eb = args
-    if isinstance(chunk, shm.ArrayRef):
-        chunk = shm.attach_array(chunk)
-    blob = _WORKER_CODEC.compress(chunk, eb)
-    return blob, telemetry.capture_state()
-
-
 _WORKER_SHAPED: dict = {}
 
 
@@ -127,7 +119,7 @@ def _shaped_worker_codec(dims):
 def _compress_chunk_shaped(
     args: tuple[np.ndarray, float, tuple | None],
 ) -> tuple[bytes, dict | None]:
-    """Like :func:`_compress_chunk` but with a per-job ``dims`` override."""
+    """Compress one chunk with the worker codec for its ``dims``."""
     chunk, eb, dims = args
     if isinstance(chunk, shm.ArrayRef):
         chunk = shm.attach_array(chunk)

@@ -267,21 +267,6 @@ class SegmentLease:
         count_borrowed(len(view))
         return BytesRef(self._seg.name, offset, len(view))
 
-    def reserve_array(self, shape, dtype) -> ArrayRef:
-        """Claim uninitialized space for a worker-*written* array (output
-        direction: the parent sizes it, the worker fills it)."""
-        dt = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-        offset = self._claim(nbytes)
-        return ArrayRef(self._seg.name, offset, tuple(shape), dt.str)
-
-    def view_array(self, ref: ArrayRef) -> np.ndarray:
-        """Map a descriptor minted by this lease back to an array (parent side)."""
-        if ref.segment != self._seg.name:
-            raise ParameterError(f"descriptor belongs to {ref.segment!r}")
-        return np.ndarray(ref.shape, dtype=np.dtype(ref.dtype),
-                          buffer=self._seg.buf, offset=ref.offset)
-
     def release(self) -> None:
         """Return the segment to the pool for reuse."""
         if not self._released:

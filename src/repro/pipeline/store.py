@@ -63,6 +63,7 @@ from repro.streamio import (
     ContainerWriter,
     FrameInfo,
     FrameMap,
+    check_frame_entry,
     open_container,
     walk_frames,
 )
@@ -950,6 +951,7 @@ class CompressedERIStore:
 
     def _put_blob(self, key, blob: bytes, nbytes: int, dims) -> None:
         """Insert a ready-made blob (the load/restore path skips compression)."""
+        check_frame_entry(nbytes // 8, json.dumps(key), dims)
         with self._lock:
             prev = self.backend.put(key, _Entry(blob, nbytes, dims))
             if prev is not None:

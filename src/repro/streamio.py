@@ -74,6 +74,7 @@ __all__ = [
     "FrameMap",
     "FrameWalk",
     "SalvageReport",
+    "check_frame_entry",
     "ContainerWriter",
     "ContainerReader",
     "open_container",
@@ -121,17 +122,34 @@ class FrameInfo:
 # writing
 
 
+def check_frame_entry(n_elements: int, key: str | None, dims) -> bytes:
+    """Refuse an entry the frame index cannot encode; return its key bytes.
+
+    The index holds ``n_elements`` as an unsigned 64-bit field, at most
+    255 ``dims`` of 0-65535 each, and a key of at most 65535 UTF-8 bytes.
+    Stores call this at put time, so a bad entry raises
+    :class:`ParameterError` then rather than when the container closes.
+    """
+    if not 0 <= n_elements < 1 << 64:
+        raise ParameterError(f"frame element count {n_elements} is out of range")
+    raw = (key or "").encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise ParameterError(f"frame key too long ({len(raw)} bytes)")
+    if dims is not None:
+        if len(dims) > 0xFF:
+            raise ParameterError(f"too many frame dims ({len(dims)})")
+        if not all(0 <= d <= 0xFFFF for d in dims):
+            raise ParameterError(f"frame dims {tuple(dims)} are not all in 0-65535")
+    return raw
+
+
 def _encode_index(frames: list[FrameInfo]) -> bytes:
     out = bytearray(struct.pack("<I", len(frames)))
     for f in frames:
+        key = check_frame_entry(f.n_elements, f.key, f.dims)
         out += struct.pack("<QQQI", f.offset, f.length, f.n_elements, f.crc32 or 0)
-        key = (f.key or "").encode("utf-8")
-        if len(key) > 0xFFFF:
-            raise FormatError(f"frame key too long ({len(key)} bytes)")
         out += struct.pack("<H", len(key)) + key
         dims = f.dims or ()
-        if len(dims) > 0xFF:
-            raise FormatError(f"too many frame dims ({len(dims)})")
         out += struct.pack("<B", len(dims))
         for d in dims:
             out += struct.pack("<H", int(d))
@@ -434,8 +452,8 @@ class FrameMap:
     mappings are released by reference counting, never closed eagerly, so
     views handed out earlier stay valid.
 
-    Not a reader — it knows offsets, not frames.  :class:`ContainerReader`
-    (``mmap=True``) and the spillable store's backend sit on top.
+    Not a reader — it knows offsets, not frames.  The spillable store's
+    backend and the pool's container decode sit on top.
     """
 
     def __init__(self, path: str) -> None:
@@ -652,17 +670,11 @@ class ContainerReader:
         *,
         codec: Codec | None = None,
         path: str | None = None,
-        use_mmap: bool = False,
         _owns_fh: bool = False,
     ) -> None:
         self.fh = fh
         self._owns_fh = _owns_fh
         self._path = path
-        self._map: FrameMap | None = None
-        if use_mmap:
-            if path is None:
-                raise ParameterError("mmap reads need a path-opened container")
-            self._map = FrameMap(path)
         self.version, self.codec_name, header = _read_header_info(fh)
         #: first byte after the container header (start of the frame region)
         self.data_start = fh.tell()
@@ -777,23 +789,8 @@ class ContainerReader:
         return [f.key for f in self.frames if f.key is not None]
 
     def read_blob(self, i: int) -> bytes:
-        """Read frame ``i``'s raw blob (CRC-verified on v2), nothing else.
-
-        With ``mmap=True`` the returned object is a zero-copy
-        :class:`memoryview` over the page cache instead of a fresh
-        ``bytes`` (both satisfy the buffer protocol; callers that need a
-        hashable key must wrap with ``bytes()``).
-        """
+        """Read frame ``i``'s raw blob (CRC-verified on v2), nothing else."""
         f = self.frames[i]
-        if self._map is not None:
-            if f.crc32 is not None:
-                blob = self._map.check(f.offset, f.length, f.crc32)
-            else:
-                blob = self._map.view(f.offset, f.length)
-            if _tstate.enabled:
-                _METRICS.counter("container.read.payload_bytes").add(f.length)
-                _METRICS.counter("container.read.frames").add(1)
-            return blob
         if _tstate.enabled:
             t0 = time.perf_counter()
             self.fh.seek(f.offset)
@@ -890,8 +887,6 @@ class ContainerReader:
         return self._path, (st.st_mtime_ns, st.st_size), self.codec_spec, list(self.frames)
 
     def close(self) -> None:
-        if self._map is not None:
-            self._map.close()
         if self._owns_fh:
             self.fh.close()
 
@@ -905,8 +900,6 @@ class ContainerReader:
 def open_container(
     path_or_fh: str | BinaryIO,
     codec: Codec | None = None,
-    *,
-    use_mmap: bool = False,
 ) -> ContainerReader:
     """Open a PSTF container for random access.
 
@@ -914,21 +907,15 @@ def open_container(
     spec and the footer index is verified and loaded.  v1 streams are
     opened through a compatibility path (sequential index scan, codec
     reconstructed best-effort from the header name, or pass ``codec=``).
-    ``use_mmap=True`` (path inputs only) serves ``read_blob`` as zero-copy
-    page-cache views through a :class:`FrameMap` instead of seek+read.
     """
     if isinstance(path_or_fh, (str, bytes, os.PathLike)):
         path = os.fsdecode(path_or_fh)
         fh = open(path, "rb")
         try:
-            return ContainerReader(
-                fh, codec=codec, path=path, use_mmap=use_mmap, _owns_fh=True
-            )
+            return ContainerReader(fh, codec=codec, path=path, _owns_fh=True)
         except Exception:
             fh.close()
             raise
-    if use_mmap:
-        raise ParameterError("use_mmap needs a path, not an open handle")
     return ContainerReader(path_or_fh, codec=codec)
 
 

@@ -11,8 +11,8 @@ The contract under test, end to end on a thread-hosted fleet:
   the migration read path tries the new owner first and falls back to
   the old owner on NOT_FOUND until the flip;
 * the migration-aware routing primitives (``_candidates`` new-ring-first
-  ordering, ``_put_targets`` old∪new dual-write, write-vs-copy
-  invalidation) hold as unit properties.
+  ordering, ``_put_targets`` old∪new dual-write) hold as unit properties;
+  ``test_write_order.py`` pins that a write racing a copy lands last.
 """
 
 import threading
@@ -23,7 +23,6 @@ import pytest
 from repro import telemetry
 from repro.cluster import GatewayConfig, LocalFleet
 from repro.cluster.gateway import ClusterGateway, _Migration
-from repro.cluster.ring import key_bytes
 
 EB = 1e-10
 SHAPE = (4, 4, 4, 4)
@@ -206,11 +205,3 @@ class TestMigrationRouting:
         assert "c" in preferred
         assert gw.ring.primary(key) in preferred
 
-    def test_note_write_invalidates_the_inflight_copy(self):
-        kj = key_bytes(["blk", 0]).decode()
-        mig = _Migration(None, None, "c", None,
-                         {kj: (["blk", 0], ["c"], ["a"])})
-        mig.current = kj
-        mig.note_write(kj)
-        assert kj not in mig.pending
-        assert mig.current_dirty

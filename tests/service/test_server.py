@@ -148,6 +148,53 @@ class TestRoundTrip:
                 assert c.health()["status"] == "ok"
 
 
+class TestFrameIndexLimits:
+    """A put whose entry the spill container's frame index cannot encode is
+    refused as BAD_REQUEST at put time, and ``stop()`` still footers the
+    spill with the entries it accepted."""
+
+    def _assert_refused(self, tmp_path, put):
+        spill = str(tmp_path / "spill.pstf")
+        h = serve_in_thread(
+            _config(spill_path=spill, memory_budget_bytes=64, hot_cache_blocks=0)
+        )
+        try:
+            with ServiceClient(h.host, h.port) as c:
+                c.put((0, 1, 2, 3), _data()[:36], dims=DIMS)
+                result, blob = c.call("store.get_raw", {"key": [0, 1, 2, 3]})
+                with pytest.raises(ParameterError):
+                    put(c, result, blob)
+        finally:
+            h.stop()
+        from repro.streamio import open_container
+
+        with open_container(spill) as r:
+            assert r.keys() == ["[0, 1, 2, 3]"]
+
+    def test_negative_element_count(self, tmp_path):
+        self._assert_refused(tmp_path, lambda c, result, blob: c.call(
+            "store.put_raw", {"key": [9], "n": -1, "dims": result["dims"]}, blob
+        ))
+
+    def test_dims_outside_the_index_range(self, tmp_path):
+        self._assert_refused(tmp_path, lambda c, result, blob: c.call(
+            "store.put_raw", {"key": [9], "n": result["n"], "dims": [70000, 1, 1, 1]},
+            blob,
+        ))
+
+    @pytest.mark.parametrize("op", ["store.put_raw", "store.put"])
+    def test_key_longer_than_the_index_holds(self, tmp_path, op):
+        key = "k" * 70_000
+        if op == "store.put":
+            self._assert_refused(
+                tmp_path, lambda c, result, blob: c.put(key, _data()[:36], dims=DIMS)
+            )
+        else:
+            self._assert_refused(tmp_path, lambda c, result, blob: c.call(
+                op, {"key": key, "n": result["n"], "dims": result["dims"]}, blob
+            ))
+
+
 class TestConcurrency:
     def test_16_concurrent_clients_complete(self):
         datasets = [_data(seed) for seed in range(16)]
