@@ -360,10 +360,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         request_deadline_ms=args.deadline_ms,
         spill_path=args.spill,
         memory_budget_bytes=int(args.memory_budget_mb * (1 << 20)),
-        hot_cache_blocks=args.hot_cache,
         hot_cache_bytes=int(args.hot_cache_mb * (1 << 20)),
         readahead=args.readahead,
-        store_policy=args.store_policy,
     )
 
     async def _run() -> None:
@@ -929,18 +927,11 @@ def main(argv: list[str] | None = None) -> int:
                     help="spill store blobs to a PSTF container at PATH")
     sv.add_argument("--memory-budget-mb", type=float, default=64.0,
                     help="hot-set budget for the spill backend")
-    sv.add_argument("--hot-cache", type=int, default=64,
-                    help="decompressed blocks kept hot in the store "
-                         "(entry-count budget; see --hot-cache-mb)")
-    sv.add_argument("--hot-cache-mb", type=float, default=0.0,
-                    help="decompressed-tier budget in MB (overrides "
-                         "--hot-cache when > 0)")
+    sv.add_argument("--hot-cache-mb", type=float, default=4.0,
+                    help="decompressed-tier budget in MB (0 disables it)")
     sv.add_argument("--readahead", type=int, default=2,
                     help="blocks to speculatively decode after a store "
                          "miss (0 disables readahead)")
-    sv.add_argument("--store-policy", choices=("2q", "lru"), default="2q",
-                    help="store cache admission policy (lru = the "
-                         "pre-overhaul baseline)")
     sv.set_defaults(func=cmd_serve)
 
     rm = sub.add_parser("remote", help="talk to a running compression service")

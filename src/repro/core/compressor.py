@@ -493,8 +493,10 @@ class PaSTRICompressor:
         if parse is None:
             parse = self._index_pass(blob, hdr, r.bits)
             self._parse_cache[blob] = parse
-            while len(self._parse_cache) > _PARSE_CACHE_MAX:
-                self._parse_cache.pop(next(iter(self._parse_cache)))
+            # threads decoding through one codec evict concurrently: take a
+            # snapshot and tolerate a key another thread already dropped
+            for old in list(self._parse_cache)[:-_PARSE_CACHE_MAX]:
+                self._parse_cache.pop(old, None)
         return self._reconstruct(hdr, r, parse)
 
     def _index_pass(self, blob: bytes, hdr: fmt.StreamHeader, bits: np.ndarray) -> tuple:

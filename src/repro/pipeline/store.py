@@ -284,8 +284,8 @@ class ContainerBackend:
             on_discard=self._on_blob_discard,
             policy=policy,
         )
-        #: key -> (frame offset, length, crc, dims, nbytes): every key with a
-        #: clean copy on disk (possibly *also* resident in the hot cache)
+        #: key -> FrameInfo: every key with a clean copy on disk (possibly
+        #: *also* resident in the hot cache)
         self._ondisk: dict = {}
         #: dirty entries the cache discarded, awaiting one batched spill
         self._pending: list = []
@@ -323,7 +323,7 @@ class ContainerBackend:
             if self._ondisk:
                 # live frames but no writer (e.g. an aborted compaction):
                 # reattach to the existing file instead of truncating it
-                self._resume_writer_from_ondisk()
+                self._resume_writer()
                 return self._writer
             # fresh container: a journal left by an earlier life of this
             # path describes bytes that are about to be truncated away
@@ -339,31 +339,26 @@ class ContainerBackend:
             )
         return self._writer
 
-    def _frame_infos_from_ondisk(self) -> dict:
-        """Rebuild ``key -> FrameInfo`` from the live on-disk records."""
-        return {
-            key: FrameInfo(
-                offset, length, nbytes // 8, crc, json.dumps(key), dims
-            )
-            for key, (offset, length, crc, dims, nbytes) in self._ondisk.items()
-        }
+    def _resume_writer(self, end: int | None = None) -> None:
+        """Reattach a writer to the spill file after the frames in ``_ondisk``.
 
-    def _resume_writer_from_ondisk(self) -> None:
-        """Reattach a writer to the spill file from the in-memory records."""
-        live = self._frame_infos_from_ondisk()
+        ``end`` is the byte past the last intact frame (the end of the
+        live frames when omitted); everything after it — a footer or a
+        torn tail — is truncated so appends continue cleanly.
+        """
         fh = open(self.path, "r+b")
-        _container_header_info(fh)
-        end = fh.tell()
-        for f in live.values():
-            end = max(end, f.offset + f.length)
-        fh.truncate(end)  # drop any footer so appends continue cleanly
+        if end is None:
+            _container_header_info(fh)
+            ends = [f.offset + f.length for f in self._ondisk.values()]
+            end = max([fh.tell(), *ends])
+        fh.truncate(end)
         fh.seek(end)
         self._write_fh = fh
         self._writer = ContainerWriter.resume(
             fh,
             self._codec,
             self._error_bound,
-            frames=live.values(),
+            frames=self._ondisk.values(),
             pos=end,
             fsync=self._fsync,
         )
@@ -386,63 +381,48 @@ class ContainerBackend:
         if not self._pending:
             return
         w = self._ensure_writer()
-        spilled: list = []
-        for key, entry in self._pending:
-            info = w.append_blob(
+        spilled = [
+            (key, w.append_blob(
                 entry.blob, entry.nbytes // 8, key=json.dumps(key), dims=entry.dims
-            )
-            spilled.append((key, info, entry))
+            ))
+            for key, entry in self._pending
+        ]
         self._pending.clear()
         self._write_fh.flush()
-        self._journal_write_batch(
-            (key, info, entry.nbytes) for key, info, entry in spilled
-        )
-        for key, info, entry in spilled:
-            self._ondisk[key] = (
-                info.offset, info.length, info.crc32, entry.dims, entry.nbytes
-            )
+        self._journal_write_batch(spilled)
+        for key, info in spilled:
+            self._ondisk[key] = info
             if self.stats is not None:
                 self.stats.bump("spills")
 
     def _journal_write_batch(self, records) -> None:
-        """Append a batch of spill records with a single write + flush."""
-        lines = []
-        for key, info, nbytes in records:
-            lines.append(json.dumps({
-                "key": key,
-                "offset": info.offset,
-                "length": info.length,
-                "crc": info.crc32,
-                "dims": None if info.dims is None else list(info.dims),
-                "nbytes": int(nbytes),
-            }, separators=(",", ":")) + "\n")
-        if not lines:
-            return
+        """Append a batch of ``(key, FrameInfo)`` spill records with a
+        single write + flush."""
         if self._journal_fh is None:
             self._journal_fh = open(self.journal_path, "a", encoding="utf-8")
-        self._journal_fh.write("".join(lines))
+        self._journal_fh.write("".join(_journal_line(k, f) for k, f in records))
         self._journal_fh.flush()
 
     def _read_spilled(self, key) -> _Entry:
-        offset, length, crc, dims, nbytes = self._ondisk[key]
+        f = self._ondisk[key]
         if self._use_mmap:
-            blob = self._mapped_frame(key, offset, length, crc)
+            blob = self._mapped_frame(key, f.offset, f.length, f.crc32)
         else:
             if self._read_fh is None:
                 if self._write_fh is not None:
                     self._write_fh.flush()
                 self._read_fh = open(self.path, "rb")
-            self._read_fh.seek(offset)
-            blob = self._read_fh.read(length)
-            if len(blob) != length:
+            self._read_fh.seek(f.offset)
+            blob = self._read_fh.read(f.length)
+            if len(blob) != f.length:
                 raise FormatError(
                     f"spill container truncated at frame for key {key!r}"
                 )
-            if zlib.crc32(blob) & 0xFFFFFFFF != crc:
+            if zlib.crc32(blob) & 0xFFFFFFFF != f.crc32:
                 raise ChecksumError(f"spill container CRC mismatch for key {key!r}")
         if self.stats is not None:
             self.stats.bump("disk_reads")
-        return _Entry(blob, nbytes, dims)
+        return _Entry(blob, f.n_elements * 8, f.dims)
 
     def _mapped_frame(self, key, offset: int, length: int, crc: int):
         """Zero-copy CRC-checked view of one spilled frame's payload."""
@@ -488,8 +468,7 @@ class ContainerBackend:
             old_size = os.path.getsize(self.path)
         except OSError:
             return 0
-        live_items = list(self._ondisk.items())
-        new_infos: dict = {}
+        live: dict = {}
         with open(self.path, "rb") as src:
             with ContainerWriter.create(
                 self.path,
@@ -500,19 +479,14 @@ class ContainerBackend:
                     "role": "eri-store-spill",
                 },
             ) as w:
-                for i, (key, (offset, length, crc, dims, nbytes)) in enumerate(
-                    live_items
-                ):
-                    src.seek(offset)
-                    blob = src.read(length)
-                    if len(blob) != length or zlib.crc32(blob) & 0xFFFFFFFF != crc:
+                for i, (key, f) in enumerate(self._ondisk.items()):
+                    src.seek(f.offset)
+                    blob = src.read(f.length)
+                    if len(blob) != f.length or zlib.crc32(blob) & 0xFFFFFFFF != f.crc32:
                         raise ChecksumError(
                             f"spill frame for key {key!r} corrupt during compaction"
                         )
-                    info = w.append_blob(
-                        blob, nbytes // 8, key=json.dumps(key), dims=dims
-                    )
-                    new_infos[key] = (info, nbytes)
+                    live[key] = w.append_blob(blob, f.n_elements, key=f.key, dims=f.dims)
                     if i == 0:
                         self._kill_point("mid_copy")
         # the old inode is gone; drop every handle that pointed at it
@@ -526,17 +500,14 @@ class ContainerBackend:
             self._read_fh = None
         if self._map is not None:
             self._map.invalidate()
-        self._ondisk = {
-            key: (info.offset, info.length, info.crc32, info.dims, nbytes)
-            for key, (info, nbytes) in new_infos.items()
-        }
+        self._ondisk = live
         self._dead_bytes = 0
         if self._journal_fh is not None:
             self._journal_fh.close()
             self._journal_fh = None
-        self._rewrite_journal({key: info for key, (info, nbytes) in new_infos.items()})
+        self._rewrite_journal(live)
         self._kill_point("after_journal")
-        self._resume_writer_from_ondisk()
+        self._resume_writer()
         self._kill_point("after_resume")
         try:
             reclaimed = max(0, old_size - os.path.getsize(self.path))
@@ -598,27 +569,13 @@ class ContainerBackend:
             live, end_of_frames = self._salvage_unfooted()
             if end_of_frames is None:
                 return
-        fh = open(self.path, "r+b")
-        fh.truncate(end_of_frames)  # drop the stale footer / torn tail
-        fh.seek(end_of_frames)
-        self._write_fh = fh
-        self._writer = ContainerWriter.resume(
-            fh,
-            self._codec,
-            self._error_bound,
-            frames=live.values(),
-            pos=end_of_frames,
-            fsync=self._fsync,
-        )
-        for key, f in live.items():
-            self._ondisk[key] = (
-                f.offset, f.length, f.crc32, f.dims, f.n_elements * 8
-            )
-            if self.stats is not None:
-                self.stats.bump("n_entries")
-                self.stats.bump("original_bytes", f.n_elements * 8)
-                self.stats.bump("compressed_bytes", f.length)
-                self.stats.bump("recovered")
+        self._ondisk = live
+        self._resume_writer(end_of_frames)  # drop the stale footer / torn tail
+        for f in live.values():  # bind() set the stats before calling us
+            self.stats.bump("n_entries")
+            self.stats.bump("original_bytes", f.n_elements * 8)
+            self.stats.bump("compressed_bytes", f.length)
+            self.stats.bump("recovered")
         self._rewrite_journal(live)
 
     def _rewrite_journal(self, live: dict) -> None:
@@ -636,15 +593,7 @@ class ContainerBackend:
             return
         tmp = self.journal_path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            for key, f in live.items():
-                fh.write(json.dumps({
-                    "key": key,
-                    "offset": f.offset,
-                    "length": f.length,
-                    "crc": f.crc32,
-                    "dims": None if f.dims is None else list(f.dims),
-                    "nbytes": f.n_elements * 8,
-                }, separators=(",", ":")) + "\n")
+            fh.write("".join(_journal_line(k, f) for k, f in live.items()))
             fh.flush()
         os.replace(tmp, self.journal_path)
 
@@ -712,9 +661,9 @@ class ContainerBackend:
             prev = (len(dropped.blob), dropped.nbytes)
         rec = self._ondisk.pop(key, None)
         if rec is not None:
-            self._dead_bytes += rec[1]  # old frame is orphaned
+            self._dead_bytes += rec.length  # old frame is orphaned
             if prev is None:
-                prev = (rec[1], rec[4])
+                prev = (rec.length, rec.n_elements * 8)
         self._hot.put(key, entry, sticky=True)  # dirty: must reach disk
         self._flush_pending()
         return prev
@@ -730,8 +679,7 @@ class ContainerBackend:
         entry = self._read_spilled(key)  # KeyError for unknown keys
         if not self._retain_spills:
             # legacy promote: forget the on-disk copy, re-spill on eviction
-            offset, length, crc, dims, nbytes = self._ondisk.pop(key)
-            self._dead_bytes += length
+            self._dead_bytes += self._ondisk.pop(key).length
             self._hot.put(key, entry, sticky=True)
         else:
             self._hot.put(key, entry)  # clean: on-disk record retained
@@ -836,30 +784,27 @@ class CompressedERIStore:
 
     ``hot_cache_bytes`` budgets the decompressed tier in bytes (the right
     unit — d-quartet blocks are orders of magnitude bigger than s-quartet
-    blocks); the legacy ``hot_cache_blocks`` entry-count cap still works
-    when no byte budget is given.  Either way the tier is scan-resistant
-    (:class:`SegmentedCache`), so one full sweep — a ``save``, an fsck, a
-    cold MP2 transform — cannot flush the SCF working set.
+    blocks).  The tier is scan-resistant (:class:`SegmentedCache`), so one
+    full sweep — a ``save``, an fsck, a cold MP2 transform — cannot flush
+    the SCF working set.
 
     The store is **thread-safe**: one reentrant lock serializes backend
-    mutations, cache updates, and stats bumps.  Decompression of a missed
-    block runs *outside* the lock under a single-flight guard — concurrent
-    readers of the same key wait on the one in-flight decode instead of
-    repeating it, and readers of different keys decode in parallel.
+    mutations, cache updates, and stats bumps.  No decode holds it:
+    :meth:`get`, :meth:`get_many` and readahead share one read sequence
+    that claims each array-tier miss under the lock, decodes outside it,
+    and admits the result under it again.  Concurrent readers of a claimed
+    key wait on the one in-flight decode instead of repeating it, readers
+    of other keys decode in parallel, and a ``put`` racing a decode keeps
+    the stale array out of the tier.
     """
 
     codec: Codec
     error_bound: float
     backend: MemoryBackend | ContainerBackend | None = None
-    #: max decompressed blocks kept hot (legacy entry-count budget;
-    #: ignored when ``hot_cache_bytes`` is set; 0 disables the array cache)
-    hot_cache_blocks: int = 0
-    #: decompressed-tier budget in bytes (preferred; 0 defers to blocks)
+    #: decompressed-tier budget in bytes (0 disables the array tier)
     hot_cache_bytes: int = 0
     #: keys to speculatively decode after an array-tier miss (0 = off)
     readahead_depth: int = 0
-    #: array-tier policy: "2q" (scan-resistant, default) or "lru" (baseline)
-    hot_cache_policy: str = "2q"
     _shaped: dict = field(default_factory=dict, repr=False)
     stats: StoreStats = field(default_factory=StoreStats)
     _hot_arrays: SegmentedCache | None = field(default=None, repr=False)
@@ -873,20 +818,10 @@ class CompressedERIStore:
                 self.hot_cache_bytes,
                 sizeof=lambda a: a.nbytes,
                 on_discard=self._on_array_discard,
-                policy=self.hot_cache_policy,
             )
-        elif self.hot_cache_blocks > 0:
-            self._hot_arrays = SegmentedCache(
-                self.hot_cache_blocks,
-                sizeof=lambda a: 1,
-                on_discard=self._on_array_discard,
-                policy=self.hot_cache_policy,
-            )
-        else:
-            self._hot_arrays = None
         self._cond = threading.Condition(self._lock)
-        self._decoding: set = set()  # keys with a decode in flight
-        self._decode_stale: set = set()  # overwritten while decoding
+        self._decoding: set = set()  # claimed keys: a decode is in flight
+        self._decode_stale: set = set()  # claimed keys overwritten by a put
         self._computing: set = set()  # keys with a get_or_compute in flight
         self._hot_array_bytes = 0
         self._prefetched: set = set()  # readahead keys not yet hit
@@ -982,12 +917,6 @@ class CompressedERIStore:
             self._prefetched.discard(key)
             self.stats.bump("readahead_wasted")
 
-    def _array_insert(self, key, arr) -> None:
-        arr.setflags(write=False)  # cached arrays are shared; keep them frozen
-        self._hot_array_bytes += arr.nbytes
-        self._hot_arrays.put(key, arr)
-        self.stats.hot_bytes = self._hot_array_bytes
-
     def _note_access(self, key) -> None:
         """Feed the per-key access-sequence profile that drives readahead."""
         prev = self._last_key
@@ -1020,143 +949,139 @@ class CompressedERIStore:
             elif isinstance(key, int) and not isinstance(key, bool):
                 yield key + step
 
-    def _readahead_from(self, key) -> None:
-        """Speculatively decode likely-next keys into the admission window.
-
-        Candidates come from the access-sequence profile first (what
-        actually followed this key before), then class-adjacent neighbors.
-        Runs under the store lock on the miss path; each prefetched array
-        lands in the cache's admission window, where it survives exactly
-        long enough for the near-term access that justified it.  A
-        candidate that fails to fetch or decode is skipped: its error
-        belongs to a get of that key, not to the healthy get that
-        speculated on it.
-        """
-        succ = self.stats.seq_profile.get(key, {})
-        candidates = sorted(succ, key=succ.get, reverse=True)
-        candidates.extend(self._class_adjacent(key))
-        issued = 0
-        seen = {key}
-        for cand in candidates:
-            if issued >= self.readahead_depth:
-                break
-            if cand in seen:
-                continue
-            seen.add(cand)
-            if cand in self._decoding or cand in self._hot_arrays:
-                continue
-            if cand not in self.backend:
-                continue
-            try:
-                arr = self.codec.decompress(self.backend.get(cand).blob)
-            except FormatError:
-                continue
-            self._array_insert(cand, arr)
-            self._prefetched.add(cand)
-            self.stats.bump("readahead_issued")
-            issued += 1
-
     def get(self, key) -> np.ndarray:
         """Decompress one block; raises KeyError for unknown keys.
 
-        With the array tier enabled, a miss claims a single-flight decode
-        slot and decompresses *outside* the lock: concurrent readers of the
-        same key wait for the in-flight decode and then hit the cache,
-        readers of other keys proceed in parallel.
+        Feeds the access-sequence profile, and reads ahead after a miss.
         """
         with self._cond:
             self.stats.bump("gets")
             self._note_access(key)
-            if self._hot_arrays is None:
-                entry = self.backend.get(key)
-                return self.codec.decompress(entry.blob)
-            while True:
-                hit = self._hot_arrays.get(key)
-                if hit is not None:
-                    self.stats.bump("cache_hits")
-                    if key in self._prefetched:
-                        self._prefetched.discard(key)
-                        self.stats.bump("readahead_useful")
-                    return hit
-                if key not in self._decoding:
-                    break
-                self._cond.wait()
-            self.stats.bump("cache_misses")
-            entry = self.backend.get(key)  # KeyError for unknown keys
-            self._decoding.add(key)
-        try:
-            out = self.codec.decompress(entry.blob)
-        finally:
-            with self._cond:
-                self._decoding.discard(key)
-                stale = key in self._decode_stale
-                self._decode_stale.discard(key)
-                self._cond.notify_all()
-        with self._cond:
-            if not stale:  # an overwrite raced the decode; don't cache it
-                self._array_insert(key, out)
-                if self.readahead_depth > 0:
-                    self._readahead_from(key)
-                self._cond.notify_all()
+            hits, claims = self._claim([key])
+        if hits:
+            return hits[key]
+        out = self._decode_and_admit(claims)[0]
+        if self.readahead_depth > 0 and self._hot_arrays is not None:
+            self._readahead_from(key)
         return out
 
     def get_many(self, keys, n_workers: int = 1) -> list[np.ndarray]:
-        """Bulk fetch: hot-tier hits in place, misses decoded as one batch.
+        """Bulk fetch: the batch form of :meth:`get`'s read sequence.
 
-        With ``n_workers > 1`` every miss blob goes through the persistent
-        shared worker pool in a single :meth:`~repro.parallel.pool.
-        CodecWorkerPool.decompress_batch` call — blobs travel to workers
-        over shared memory and large results ship back the same way, so a
-        bulk load (snapshot warm-up, an MP2 sweep over a stored tensor)
-        uses every core without pickling frame bytes.  Decoded arrays are
-        admitted to the array tier exactly like :meth:`get` misses;
-        the access-sequence profile is *not* fed (a bulk scan is not a
-        pattern worth learning).  Raises ``KeyError`` on the first unknown
-        key, before any decode runs.
+        With ``n_workers > 1`` the misses are decoded by one
+        ``decompress_batch`` call on the persistent shared worker pool
+        (blobs and large results travel over shared memory), so a bulk
+        load — snapshot warm-up, an MP2 sweep — uses every core.  The
+        access-sequence profile is *not* fed (a bulk scan is not a pattern
+        worth learning).  Raises ``KeyError`` on the first unknown key,
+        before any decode runs.
         """
         keys = list(keys)
-        if n_workers <= 1 or len(keys) < 2:
-            return [self.get(k) for k in keys]
-        from repro.parallel.pool import shared_pool
-
-        out: list = [None] * len(keys)
-        miss_idx: list[int] = []
-        miss_blobs: list = []
         with self._cond:
             self.stats.bump("gets", len(keys))
-            for i, key in enumerate(keys):
-                hit = None
-                if self._hot_arrays is not None:
-                    hit = self._hot_arrays.get(key)
-                if hit is not None:
-                    self.stats.bump("cache_hits")
-                    if key in self._prefetched:
-                        self._prefetched.discard(key)
-                        self.stats.bump("readahead_useful")
-                    out[i] = hit
-                else:
-                    self.stats.bump("cache_misses")
-                    entry = self.backend.get(key)  # KeyError for unknown keys
-                    miss_idx.append(i)
-                    miss_blobs.append(entry.blob)
-        if miss_idx:
-            spec = api.codec_spec(self.codec)
-            pool = shared_pool(spec["name"], spec.get("kwargs"), n_workers)
-            arrays = pool.decompress_batch(miss_blobs)
+            hits, claims = self._claim(keys)
+        found = dict(zip(claims, self._decode_and_admit(claims, n_workers)))
+        found.update(hits)
+        return [found[k] for k in keys]
+
+    def _readahead_from(self, key) -> None:
+        """Speculatively decode likely-next keys into the admission window.
+
+        Candidates are the access-sequence profile's successors of ``key``
+        (what actually followed it before), then its class-adjacent
+        neighbors.  The first ``readahead_depth`` that are neither cached,
+        claimed nor unknown are claimed, decoded and admitted like misses.
+        A candidate that fails to fetch or decode is skipped, neither
+        cached nor counted: its error belongs to a get of that key.
+        """
+        claims: dict = {}
+        with self._cond:
+            succ = self.stats.seq_profile.get(key, {})
+            candidates = sorted(succ, key=succ.get, reverse=True)
+            candidates.extend(self._class_adjacent(key))
+            for cand in dict.fromkeys(candidates):
+                if len(claims) >= self.readahead_depth:
+                    break
+                busy = cand == key or cand in self._decoding or cand in self._hot_arrays
+                if busy or cand not in self.backend:
+                    continue
+                try:
+                    claims[cand] = self.backend.get(cand).blob
+                except FormatError:
+                    continue
+            self._decoding.update(claims)
+        self._decode_and_admit(claims, speculative=True)
+
+    def _claim(self, keys: list) -> tuple[dict, dict]:
+        """Under the lock: serve array-tier hits, fetch and claim each miss.
+
+        Returns ``({key: array}, {key: blob})``.  Other readers' claims on
+        ``keys`` are waited out before any is taken: claiming as it went,
+        a reader could hold one key while waiting for another, and two
+        overlapping batches would deadlock.
+        """
+        while not self._decoding.isdisjoint(keys):
+            self._cond.wait()
+        hits: dict = {}
+        claims: dict = {}
+        for key in keys:
+            hit = None if self._hot_arrays is None else self._hot_arrays.get(key)
+            if hit is not None:
+                self.stats.bump("cache_hits")
+                if key in self._prefetched:
+                    self._prefetched.discard(key)
+                    self.stats.bump("readahead_useful")
+                hits[key] = hit
+                continue
+            if self._hot_arrays is not None:
+                self.stats.bump("cache_misses")
+            if key not in claims:
+                claims[key] = self.backend.get(key).blob  # KeyError if unknown
+        if self._hot_arrays is not None:  # no tier, nothing to admit
+            self._decoding.update(claims)
+        return hits, claims
+
+    def _decode_and_admit(self, claims: dict, n_workers=1, speculative=False) -> list:
+        """Decode ``{key: blob}`` outside the lock; returns arrays in order.
+
+        Inline, or one pool batch when ``n_workers > 1``.  Then, under the
+        lock, every claim is released and each array no ``put`` marked
+        stale is admitted.  A speculative blob that fails to decode maps
+        to ``None``.
+        """
+        arrays: list = []
+        try:
+            if n_workers > 1 and claims:
+                from repro.parallel.pool import shared_pool
+
+                spec = api.codec_spec(self.codec)
+                pool = shared_pool(spec["name"], spec.get("kwargs"), n_workers)
+                arrays = pool.decompress_batch(list(claims.values()))
+            else:
+                for blob in claims.values():
+                    try:
+                        arrays.append(self.codec.decompress(blob))
+                    except FormatError:
+                        if not speculative:
+                            raise
+                        arrays.append(None)
+        finally:
             with self._cond:
-                for i, arr in zip(miss_idx, arrays):
-                    out[i] = arr
-                    key = keys[i]
-                    # Admit unless a racing get() already cached / is
-                    # decoding this key (never double-account hot bytes).
-                    if (
-                        self._hot_arrays is not None
-                        and key not in self._decoding
-                        and self._hot_arrays.peek(key) is None
-                    ):
-                        self._array_insert(key, arr)
+                stale = self._decode_stale.intersection(claims)
+                self._decode_stale -= stale
+                self._decoding.difference_update(claims)
+                for key, arr in zip(claims, arrays):
+                    if arr is None or key in stale or self._hot_arrays is None:
+                        continue
+                    arr.setflags(write=False)  # cached arrays are shared
+                    self._hot_array_bytes += arr.nbytes
+                    self._hot_arrays.put(key, arr)
+                    self.stats.hot_bytes = self._hot_array_bytes
+                    if speculative:
+                        self._prefetched.add(key)
+                        self.stats.bump("readahead_issued")
                 self._cond.notify_all()
-        return out
+        return arrays
 
     def get_or_compute(self, key, compute, dims=None) -> np.ndarray:
         """Fetch from the store, or compute, insert, and return.
@@ -1217,9 +1142,8 @@ class CompressedERIStore:
         lines = ["cache report"]
         if self._hot_arrays is not None:
             c = self._hot_arrays
-            unit = "B" if self.hot_cache_bytes > 0 else "blocks"
             lines.append(
-                f"  array tier [{c.policy}]: {c.bytes}/{c.budget} {unit} "
+                f"  array tier [{c.policy}]: {c.bytes}/{c.budget} B "
                 f"({len(c)} blocks, {st.hot_bytes} B decompressed)"
             )
             lines.append(
@@ -1296,7 +1220,6 @@ class CompressedERIStore:
         cls,
         path: str,
         backend: MemoryBackend | ContainerBackend | None = None,
-        hot_cache_blocks: int = 0,
         *,
         hot_cache_bytes: int = 0,
         readahead_depth: int = 0,
@@ -1317,7 +1240,6 @@ class CompressedERIStore:
                 r.codec,
                 float(eb),
                 backend=backend,
-                hot_cache_blocks=hot_cache_blocks,
                 hot_cache_bytes=hot_cache_bytes,
                 readahead_depth=readahead_depth,
             )
@@ -1365,6 +1287,18 @@ class CompressedERIStore:
     def keys(self):
         with self._lock:
             return list(self.backend.keys())
+
+
+def _journal_line(key, f: FrameInfo) -> str:
+    """One spill-journal record: where ``key``'s frame lives and what it holds."""
+    return json.dumps({
+        "key": key,
+        "offset": f.offset,
+        "length": f.length,
+        "crc": f.crc32,
+        "dims": None if f.dims is None else list(f.dims),
+        "nbytes": f.n_elements * 8,
+    }, separators=(",", ":")) + "\n"
 
 
 def _revive_key(key):

@@ -40,7 +40,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -93,14 +93,11 @@ class ServerConfig:
     #: entries show up in ``store.stats`` as ``recovered``
     spill_recover: bool = True
     memory_budget_bytes: int = 64 << 20
-    hot_cache_blocks: int = 64
-    #: decompressed-tier budget in bytes (preferred over hot_cache_blocks
-    #: when > 0; see CompressedERIStore.hot_cache_bytes)
-    hot_cache_bytes: int = 0
+    #: decompressed-tier budget in bytes (0 = off; see
+    #: CompressedERIStore.hot_cache_bytes)
+    hot_cache_bytes: int = 4 << 20
     #: speculative decodes after an array-tier miss (0 = off)
     readahead: int = 2
-    #: cache admission policy for both tiers: "2q" or "lru" (A/B baseline)
-    store_policy: str = "2q"
     #: idle seconds on the batch queue before the spill container is
     #: checked for compaction (0 disables idle compaction)
     idle_compact_s: float = 5.0
@@ -138,16 +135,13 @@ class CompressionServer(Endpoint):
                 self.config.spill_path,
                 memory_budget_bytes=self.config.memory_budget_bytes,
                 recover=self.config.spill_recover,
-                policy=self.config.store_policy,
             )
         self.store = CompressedERIStore(
             self.codec,
             self.config.error_bound,
             backend=backend,
-            hot_cache_blocks=self.config.hot_cache_blocks,
             hot_cache_bytes=self.config.hot_cache_bytes,
             readahead_depth=self.config.readahead,
-            hot_cache_policy=self.config.store_policy,
         )
         self._queue: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None
@@ -293,34 +287,20 @@ class CompressionServer(Endpoint):
         }
 
     def _store_stats(self) -> dict:
+        """Every :class:`StoreStats` counter, its derived rates, the bound
+        and the cache report."""
         s = self.store.stats
-        return {
-            "n_entries": s.n_entries,
-            "original_bytes": s.original_bytes,
-            "compressed_bytes": s.compressed_bytes,
-            "puts": s.puts,
-            "gets": s.gets,
-            "cache_hits": s.cache_hits,
-            "cache_misses": s.cache_misses,
-            "spills": s.spills,
-            "disk_reads": s.disk_reads,
-            "recovered": s.recovered,
-            "ratio": s.ratio,
-            "hit_rate": s.hit_rate,
-            "error_bound": self.store.error_bound,
-            "hot_bytes": s.hot_bytes,
-            "blob_hits": s.blob_hits,
-            "blob_misses": s.blob_misses,
-            "blob_evictions": s.blob_evictions,
-            "array_evictions": s.array_evictions,
-            "readahead_issued": s.readahead_issued,
-            "readahead_useful": s.readahead_useful,
-            "readahead_wasted": s.readahead_wasted,
-            "readahead_accuracy": s.readahead_accuracy,
-            "compactions": s.compactions,
-            "compaction_reclaimed_bytes": s.compaction_reclaimed_bytes,
-            "cache_report": self.store.format_cache_report(),
+        reply = {
+            f.name: getattr(s, f.name) for f in fields(s) if f.name != "seq_profile"
         }
+        reply.update(
+            ratio=s.ratio,
+            hit_rate=s.hit_rate,
+            readahead_accuracy=s.readahead_accuracy,
+            error_bound=self.store.error_bound,
+            cache_report=self.store.format_cache_report(),
+        )
+        return reply
 
     # -- blocking op bodies (executor threads) ---------------------------------
     # each takes (req_id, params, payload) and returns the reply frame

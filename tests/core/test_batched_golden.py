@@ -99,6 +99,38 @@ def test_parse_cache_is_bounded(dd_data):
     assert blobs[-1] in codec._parse_cache
 
 
+def test_parse_cache_survives_concurrent_decodes(dd_data):
+    """Threads decoding different blobs through one codec evict from the
+    parse cache at once; none may fail, and the cache stays bounded."""
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.core.compressor import _PARSE_CACHE_MAX
+
+    codec = PaSTRICompressor(config="(dd|dd)")
+    blobs = [codec.compress(dd_data[1296 * k:1296 * (k + 1)], 1e-10) for k in range(8)]
+    expected = [PaSTRICompressor(config="(dd|dd)").decompress(b) for b in blobs]
+    barrier = threading.Barrier(4)
+
+    def work(t):
+        barrier.wait()
+        for i in range(400):
+            k = (i + t) % len(blobs)
+            assert np.array_equal(codec.decompress(blobs[k]), expected[k])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as ex:
+            for f in [ex.submit(work, t) for t in range(4)]:
+                f.result(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    codec.decompress(blobs[0])
+    assert len(codec._parse_cache) <= _PARSE_CACHE_MAX
+
+
 def test_corrupt_blob_is_never_cached(dd_data):
     from repro.errors import FormatError
 

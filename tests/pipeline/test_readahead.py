@@ -12,17 +12,15 @@ EB = 1e-10
 
 
 def make_store(rng, keys, *, depth, blocks=64):
+    data = {k: make_patterned_stream(rng, n_blocks=1, zero_blocks=0) for k in keys}
     store = CompressedERIStore(
         PaSTRICompressor(dims=(6, 6, 6, 6)),
         EB,
-        hot_cache_blocks=blocks,
+        hot_cache_bytes=blocks * next(iter(data.values())).nbytes,
         readahead_depth=depth,
     )
-    data = {}
-    for k in keys:
-        b = make_patterned_stream(rng, n_blocks=1, zero_blocks=0)
+    for k, b in data.items():
         store.put(k, b, dims=(6, 6, 6, 6))
-        data[k] = b
     return store, data
 
 

@@ -94,7 +94,8 @@ def test_hit_rate_zero_traffic_guard():
 def test_hit_rate_tracks_live_store(rng):
     block = make_patterned_stream(rng, n_blocks=1, zero_blocks=0)
     s = CompressedERIStore(
-        PaSTRICompressor(dims=(6, 6, 6, 6)), error_bound=EB, hot_cache_blocks=4
+        PaSTRICompressor(dims=(6, 6, 6, 6)), error_bound=EB,
+        hot_cache_bytes=4 * block.nbytes,
     )
     try:
         assert s.stats.hit_rate == 0.0

@@ -14,6 +14,10 @@ from tests.conftest import make_patterned_stream
 EB = 1e-10
 
 
+#: decompressed bytes of one block from ``fill``: a (6,6,6,6) float64 quartet
+BLOCK_NBYTES = 1296 * 8
+
+
 def codec():
     return PaSTRICompressor(dims=(6, 6, 6, 6))
 
@@ -168,7 +172,7 @@ def test_load_rejects_plain_containers(tmp_path, rng):
 
 
 def test_hot_array_cache_hits(rng):
-    store = CompressedERIStore(codec(), EB, hot_cache_blocks=2)
+    store = CompressedERIStore(codec(), EB, hot_cache_bytes=2 * BLOCK_NBYTES)
     blocks = fill(store, rng, n=3)
     store.get((0, 0))
     store.get((0, 0))
@@ -202,7 +206,7 @@ def test_hot_array_cache_byte_budget(rng):
 
 
 def test_cached_arrays_are_frozen(rng):
-    store = CompressedERIStore(codec(), EB, hot_cache_blocks=4)
+    store = CompressedERIStore(codec(), EB, hot_cache_bytes=4 * BLOCK_NBYTES)
     fill(store, rng, n=1)
     out = store.get((0, 0))
     with pytest.raises(ValueError):
@@ -210,7 +214,7 @@ def test_cached_arrays_are_frozen(rng):
 
 
 def test_put_invalidates_cached_array(rng):
-    store = CompressedERIStore(codec(), EB, hot_cache_blocks=4)
+    store = CompressedERIStore(codec(), EB, hot_cache_bytes=4 * BLOCK_NBYTES)
     fill(store, rng, n=1)
     stale = store.get((0, 0))
     replacement = make_patterned_stream(rng, n_blocks=1, zero_blocks=0)

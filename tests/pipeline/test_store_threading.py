@@ -21,6 +21,8 @@ EB = 1e-10
 DIMS = (2, 2, 3, 3)
 N_THREADS = 8
 OPS_PER_THREAD = 25
+#: decompressed bytes of one ``_blocks`` block: a DIMS float64 quartet
+BLOCK_NBYTES = 2 * 2 * 3 * 3 * 8
 
 
 @pytest.fixture(params=["memory", "container"])
@@ -33,7 +35,7 @@ def store(request, tmp_path):
         )
     s = CompressedERIStore(
         PaSTRICompressor(dims=DIMS), error_bound=EB, backend=backend,
-        hot_cache_blocks=4,
+        hot_cache_bytes=4 * BLOCK_NBYTES,
     )
     yield s
     s.close()

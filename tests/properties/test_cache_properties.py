@@ -120,8 +120,8 @@ class _TrackingCodec(PaSTRICompressor):
 def test_get_or_compute_is_single_flight_under_threads(seed):
     rng = np.random.default_rng(seed)
     codec = _TrackingCodec(dims=(6, 6, 6, 6))
-    store = CompressedERIStore(codec, EB, hot_cache_blocks=8)
     blocks = {k: rng.standard_normal(1296) for k in range(3)}
+    store = CompressedERIStore(codec, EB, hot_cache_bytes=8 * blocks[0].nbytes)
     computed = {k: 0 for k in blocks}
     count_lock = threading.Lock()
 

@@ -109,9 +109,25 @@ class TestRoundTrip:
                 with pytest.raises(KeyError):
                     c.get((9, 9, 9, 9))
 
+    def test_store_stats_reply_carries_every_counter(self):
+        from dataclasses import fields
+
+        from repro.pipeline.store import StoreStats
+
+        with serve_in_thread(_config()) as h:
+            with ServiceClient(h.host, h.port) as c:
+                c.put((0, 1, 2, 3), _data(1)[:36], dims=DIMS)
+                c.get((0, 1, 2, 3))
+                stats = c.stats()
+        counters = {f.name for f in fields(StoreStats)} - {"seq_profile"}
+        derived = {"ratio", "hit_rate", "readahead_accuracy", "error_bound",
+                   "cache_report"}
+        assert set(stats) == counters | derived
+        assert stats["cache_misses"] == 1 and stats["hot_bytes"] == 36 * 8
+
     def test_spill_backed_store(self, tmp_path):
         spill = str(tmp_path / "spill.pstf")
-        cfg = _config(spill_path=spill, memory_budget_bytes=64, hot_cache_blocks=0)
+        cfg = _config(spill_path=spill, memory_budget_bytes=64, hot_cache_bytes=0)
         with serve_in_thread(cfg) as h:
             with ServiceClient(h.host, h.port) as c:
                 blocks = {i: _data(i)[:36] for i in range(12)}
@@ -156,7 +172,7 @@ class TestFrameIndexLimits:
     def _assert_refused(self, tmp_path, put):
         spill = str(tmp_path / "spill.pstf")
         h = serve_in_thread(
-            _config(spill_path=spill, memory_budget_bytes=64, hot_cache_blocks=0)
+            _config(spill_path=spill, memory_budget_bytes=64, hot_cache_bytes=0)
         )
         try:
             with ServiceClient(h.host, h.port) as c:
@@ -345,7 +361,7 @@ class TestDrain:
 
     def test_spill_store_finalized_on_drain(self, tmp_path):
         spill = str(tmp_path / "drain.pstf")
-        cfg = _config(spill_path=spill, memory_budget_bytes=512, hot_cache_blocks=0)
+        cfg = _config(spill_path=spill, memory_budget_bytes=512, hot_cache_bytes=0)
         h = serve_in_thread(cfg)
         with ServiceClient(h.host, h.port) as c:
             for i in range(6):
