@@ -7,7 +7,10 @@ salvaged container opens, passes every CRC, and round-trips each
 recovered frame within the error bound.  Also asserts the two fixed
 points of the contract: fsck on the untouched container is a
 byte-identical no-op, and a cut placed in the trailer recovers every
-frame with every key.
+frame with every key.  Last, a spill-backed store is aborted (the disk
+state of a killed process), fsck'd as a subprocess and reopened: fsck
+keys the spilled frames from the store's journal, so every spilled key
+must read back within the error bound.
 """
 
 import os
@@ -22,6 +25,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro.core import PaSTRICompressor  # noqa: E402
+from repro.pipeline import CompressedERIStore, ContainerBackend  # noqa: E402
 from repro.streamio import ContainerWriter, open_container  # noqa: E402
 
 EB = 1e-10
@@ -106,6 +110,34 @@ def main() -> int:
             keys = [f.key for f in r.frames]
         assert keys == [f"q{i}" for i in range(N_FRAMES)], keys
         print("trailer cut: all frames and keys recovered", flush=True)
+
+        # 4. killed spill store: fsck, then a restarted store serves every
+        #    spilled key
+        spill = os.path.join(tmp, "spill.pstf")
+
+        def spill_store():
+            return CompressedERIStore(
+                PaSTRICompressor(dims=DIMS), EB,
+                backend=ContainerBackend(spill, memory_budget_bytes=4096),
+            )
+
+        store = spill_store()
+        for i, c in enumerate(chunks):
+            store.put((0, i), c, dims=DIMS)
+        spilled = list(store.backend._ondisk)
+        assert spilled, "the store spilled nothing"
+        store.abort()
+        p = run_fsck(spill)
+        assert p.returncode == 0, p.stderr
+        print(p.stdout.strip(), flush=True)
+        assert f"{len(spilled)} with keys" in p.stdout, p.stdout
+        with spill_store() as revived:
+            assert revived.stats.recovered == len(spilled), revived.stats
+            for key in spilled:
+                err = float(np.max(np.abs(revived.get(key) - chunks[key[1]])))
+                assert err <= EB, f"spilled key {key} violates the bound: {err}"
+        print(f"killed spill store: {len(spilled)} spilled keys fsck'd and "
+              "served within bound", flush=True)
 
     print("fsck-smoke OK", flush=True)
     return 0

@@ -145,8 +145,9 @@ def encoded_size_bits_batch(
     """Exact dense-encoded size in bits per row of ``ecq2d``.
 
     ``ecq2d`` is ``(n_blocks, block_size)`` int64; ``ecb`` holds each row's
-    ``EC_b,max``.  One vectorised pass replaces ``n_blocks`` calls to
-    :func:`encoded_size_bits` in the compressor's dense-vs-sparse decision.
+    ``EC_b,max``.  One vectorised pass sizes every block for the
+    compressor's dense-vs-sparse decision; a row's size equals the summed
+    :func:`encode_ecq` codeword lengths.
     Rows whose ``ecb`` lies outside the legal ``[2, 40]`` range produce
     unspecified values — callers must mask them out (the compressor only
     consults rows with ``EC_b,max >= 2``).  ``nnz`` optionally passes the
@@ -199,34 +200,6 @@ def encoded_size_bits_from_moments(
     if tree_id == 3:
         return tree3_bits
     return np.where(ecb == 2, n0 + 2 * nnz, tree3_bits)
-
-
-def encoded_size_bits(ecq: np.ndarray, ecb: int, tree_id: int) -> int:
-    """Exact dense-encoded size in bits for ``ecq`` under a given tree."""
-    _check_ecb(ecb)
-    ecq = np.ascontiguousarray(ecq, dtype=np.int64)
-    n = ecq.size
-    n0 = int(np.count_nonzero(ecq == 0))
-    npos1 = int(np.count_nonzero(ecq == 1))
-    nneg1 = int(np.count_nonzero(ecq == -1))
-    n1 = npos1 + nneg1
-    nother = n - n0 - n1
-    if tree_id == 1:
-        return n0 + (n - n0) * (1 + ecb)
-    if tree_id == 2:
-        return n0 + 2 * npos1 + 3 * nneg1 + (3 + ecb) * nother
-    if tree_id == 3:
-        return n0 + 3 * n1 + (2 + ecb) * nother
-    if tree_id == 4:
-        bins = ecq_bin_numbers(ecq)
-        lengths = np.where(bins == ecb, 2 * (ecb - 1), 2 * bins - 1)
-        lengths = np.where(bins == 1, 1, lengths)
-        return int(lengths.sum())
-    if tree_id == 5:
-        if ecb == 2:
-            return n0 + 2 * (n - n0)
-        return n0 + 3 * n1 + (2 + ecb) * nother
-    raise ParameterError(f"unknown tree id {tree_id}")
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +304,7 @@ def encode_ecq_planar(
     EC_b,max of row *i*.  Returns one tuple of 0/1 uint8 bit arrays per row
     — prefix planes, then tails — whose concatenation is the row's planar
     segment.  It holds exactly the bits of the row's :func:`encode_ecq`
-    codewords, so its length is the row's :func:`encoded_size_bits`.
+    codewords, so its length is the row's :func:`encoded_size_bits_batch`.
     Rows go through in chunks of ~:data:`PLANAR_CHUNK` tokens, which
     bounds the temporaries whatever the stream length.
     """

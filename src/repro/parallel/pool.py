@@ -51,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import api, telemetry
-from repro.errors import CompressionError, ParameterError
+from repro.errors import CompressionError, ParameterError, ReproError
 from repro.parallel import shm
 from repro.streamio import ContainerWriter, FrameMap, StreamSummary, open_container
 from repro.telemetry import state as _tstate
@@ -463,12 +463,37 @@ def parallel_compress(
     if n_workers < 1:
         raise ParameterError("n_workers must be >= 1")
     chunks = split_stream(data, n_workers, block_size)
+    return _compress_chunks(codec_name, chunks, error_bound, n_workers, codec_kwargs)
+
+
+def _compress_chunks(
+    codec_name: str,
+    chunks: list[np.ndarray],
+    error_bound: float,
+    n_workers: int,
+    codec_kwargs: dict | None,
+) -> list[bytes]:
+    """Compress ``chunks`` in process (one worker or one chunk) or as one
+    :func:`shared_pool` batch; blobs in chunk order.
+
+    ``Pool.map`` re-raises the first worker exception in the parent.  A
+    library error (:class:`ReproError`, e.g. a NaN input's
+    :class:`ParameterError`) surfaces as the in-process path raises it;
+    anything else is wrapped in :class:`CompressionError`.
+    """
     if n_workers == 1 or len(chunks) == 1:
         codec = api.get_codec(codec_name, **(codec_kwargs or {}))
         return [codec.compress(c, error_bound) for c in chunks]
     with telemetry.trace("parallel.compress", workers=n_workers, chunks=len(chunks)):
         pool = shared_pool(codec_name, codec_kwargs, n_workers)
-        return pool.compress_batch([(c, error_bound, None) for c in chunks])
+        try:
+            return pool.compress_batch([(c, error_bound, None) for c in chunks])
+        except ReproError:
+            raise
+        except Exception as exc:
+            raise CompressionError(
+                f"worker failed while compressing a chunk: {exc}"
+            ) from exc
 
 
 def parallel_decompress(
@@ -519,25 +544,7 @@ def parallel_compress_to_container(
     with telemetry.trace(
         "parallel.compress_to_container", workers=n_workers, frames=len(chunks)
     ):
-        if n_workers == 1 or len(chunks) == 1:
-            codec = api.get_codec(codec_name, **kwargs)
-            blobs = [codec.compress(c, error_bound) for c in chunks]
-        else:
-            with telemetry.trace("parallel.compress", workers=n_workers):
-                pool = shared_pool(codec_name, kwargs, n_workers)
-                try:
-                    blobs = pool.compress_batch(
-                        [(c, error_bound, None) for c in chunks]
-                    )
-                except CompressionError:
-                    raise
-                except Exception as exc:
-                    # Pool.map re-raises the first worker exception in the
-                    # parent; normalize it so callers see one library
-                    # error type instead of a bare worker traceback.
-                    raise CompressionError(
-                        f"worker failed while compressing a chunk: {exc}"
-                    ) from exc
+        blobs = _compress_chunks(codec_name, chunks, error_bound, n_workers, kwargs)
         codec = api.get_codec(codec_name, **kwargs)
         full_meta = {"error_bound": error_bound, "block_size": int(block_size)}
         full_meta.update(meta or {})

@@ -36,16 +36,18 @@ for both store tiers; pass ``lambda v: 1`` for a legacy entry-count cap).
 The invariant ``total_cost <= budget`` holds after every mutation.
 Entries the owner cannot afford to drop silently (dirty blobs that have
 never been spilled) are flagged at insert time; they bypass the admission
-filter and are handed to ``on_discard`` when they leave, so the owner can
-spill them.  ``policy="lru"`` degrades the whole structure to the exact
-pre-overhaul plain LRU — kept as the A/B baseline for benchmarks and the
+filter.  :meth:`SegmentedCache.put` — the only operation that makes room —
+returns every ``(key, value)`` pair that left for capacity, so the owner
+can spill or account for them; the cache holds no reference to its owner.
+``policy="lru"`` degrades the whole structure to the exact pre-overhaul
+plain LRU — kept as the A/B baseline for benchmarks and the
 ``store-bench-smoke`` CI gate.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ParameterError
@@ -122,10 +124,6 @@ class SegmentedCache:
         Cost of one cached value (``len`` by default — right for blobs;
         pass ``lambda a: a.nbytes`` for arrays, ``lambda v: 1`` to make
         the budget an entry count).
-    on_discard:
-        Called as ``on_discard(key, value)`` for every entry that leaves
-        the cache for capacity reasons (evicted *or* refused admission).
-        Not called for explicit :meth:`pop`.
     policy:
         ``"2q"`` (default) for the scan-resistant policy described in the
         module docstring; ``"lru"`` for a plain LRU over the same byte
@@ -137,7 +135,6 @@ class SegmentedCache:
         budget: int,
         *,
         sizeof: Callable = len,
-        on_discard: Callable | None = None,
         policy: str = "2q",
     ) -> None:
         if budget < 0:
@@ -147,7 +144,6 @@ class SegmentedCache:
         self.budget = int(budget)
         self.policy = policy
         self._sizeof = sizeof
-        self._on_discard = on_discard
         self.stats = CacheTierStats()
         # each segment maps key -> value; sizes held separately so sizeof
         # runs once per insert
@@ -156,6 +152,7 @@ class SegmentedCache:
         self._protected: OrderedDict = OrderedDict()
         self._sizes: dict = {}
         self._sticky: set = set()  # keys that bypass the admission filter
+        self._departed: list = []  # capacity departures of the put in progress
         self._bytes = 0
         self._window_bytes = 0
         self._protected_bytes = 0
@@ -224,9 +221,11 @@ class SegmentedCache:
         self.stats.misses += 1
         return None
 
-    def put(self, key, value, *, sticky: bool = False) -> None:
+    def put(self, key, value, *, sticky: bool = False) -> list:
         """Insert or overwrite ``key``; enforces the budget before returning.
 
+        Returns the ``(key, value)`` pairs that left for capacity (evicted
+        *or* refused admission, ``key`` itself included), in departure order.
         ``sticky`` marks an entry the owner must not lose silently (a dirty
         blob): it bypasses the admission filter, so making room for it can
         only evict, never reject it.  Stickiness is cleared by
@@ -241,15 +240,17 @@ class SegmentedCache:
             self._window[key] = value
             self._bytes += size
             self._shrink_lru()
-            return
-        self._freq.record(key)
-        self._window[key] = value
-        self._bytes += size
-        self._window_bytes += size
-        self._shrink()
+        else:
+            self._freq.record(key)
+            self._window[key] = value
+            self._bytes += size
+            self._window_bytes += size
+            self._shrink()
+        departed, self._departed = self._departed, []
+        return departed
 
     def pop(self, key):
-        """Remove and return ``key`` (no discard callback), or ``None``."""
+        """Remove and return ``key`` (not a capacity departure), or ``None``."""
         if key not in self._sizes:
             return None
         size = self._sizes.pop(key)
@@ -274,8 +275,7 @@ class SegmentedCache:
             self.stats.rejections += 1
         else:
             self.stats.evictions += 1
-        if self._on_discard is not None:
-            self._on_discard(key, value)
+        self._departed.append((key, value))
 
     def _drop(self, seg: OrderedDict, key, *, rejected: bool = False) -> None:
         size = self._sizes.pop(key)

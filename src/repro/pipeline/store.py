@@ -46,28 +46,26 @@ codec and error bound included — with :meth:`CompressedERIStore.load`.
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import os
 import threading
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import api
 from repro.api import Codec
-from repro.errors import ChecksumError, FormatError, ParameterError, ReproError
+from repro.errors import FormatError, ParameterError, ReproError
 from repro.pipeline.cache import SegmentedCache
 from repro.streamio import (
     ContainerWriter,
-    FrameInfo,
     FrameMap,
     check_frame_entry,
+    journal_line,
     open_container,
-    walk_frames,
+    read_checked_frame,
+    salvage_frames,
 )
-from repro.streamio import _read_header_info as _container_header_info
 from repro.telemetry import REGISTRY as _METRICS
 from repro.telemetry import state as _tstate
 
@@ -237,15 +235,20 @@ class ContainerBackend:
     :func:`repro.streamio.open_container`.
 
     **Crash safety.**  Every spilled frame is also logged to an append-only
-    sidecar journal (``path + ".journal"``, one JSON line per frame: key,
-    offset, length, CRC, dims) that is flushed with its batch and deleted
-    on a clean close.  With ``recover=True`` (default) a backend pointed at
-    an existing spill file *recovers* it instead of truncating it: a valid
-    (footered) container is reloaded from its index; a footerless one —
-    the writer was killed mid-run — is salvaged frame-by-frame and re-keyed
-    from the journal.  Recovered entries land in the on-disk set, append
-    continues after the last intact frame, and ``stats.recovered`` counts
-    them, so a restarted ``pastri serve`` comes back with its data.
+    sidecar journal (``path + ".journal"``, one
+    :func:`repro.streamio.journal_line` per frame: key, offset, length,
+    CRC, dims) that is flushed with its batch, after the frames, and
+    deleted on a clean close.  With ``recover=True`` (default) a backend
+    pointed at an existing spill file *recovers* it instead of truncating
+    it: a valid (footered) container is reloaded from its index; a
+    footerless one — the writer was killed mid-run — goes through
+    :func:`repro.streamio.salvage_frames`, the same scan ``pastri fsck``
+    runs, and keeps the frames it could key.  So a killed store's spill
+    file may be fsck'd first: fsck keys the frames from the journal too.
+    The backend itself never parses container bytes or journal lines.
+    Recovered entries land in the on-disk set, append continues after the
+    last intact frame, and ``stats.recovered`` counts them, so a restarted
+    ``pastri serve`` comes back with its data.
     Compaction is kill-safe at every step: the replacement container is
     footered *before* it atomically replaces the old one, and the journal
     is rewritten *before* the footer is truncated for resumed appends, so
@@ -279,10 +282,7 @@ class ContainerBackend:
         self._use_mmap = bool(use_mmap)
         self._retain_spills = bool(retain_spills)
         self._hot = SegmentedCache(
-            self.memory_budget_bytes,
-            sizeof=lambda e: len(e.blob),
-            on_discard=self._on_blob_discard,
-            policy=policy,
+            self.memory_budget_bytes, sizeof=lambda e: len(e.blob), policy=policy
         )
         #: key -> FrameInfo: every key with a clean copy on disk (possibly
         #: *also* resident in the hot cache)
@@ -346,11 +346,9 @@ class ContainerBackend:
         live frames when omitted); everything after it — a footer or a
         torn tail — is truncated so appends continue cleanly.
         """
-        fh = open(self.path, "r+b")
         if end is None:
-            _container_header_info(fh)
-            ends = [f.offset + f.length for f in self._ondisk.values()]
-            end = max([fh.tell(), *ends])
+            end = max(f.offset + f.length for f in self._ondisk.values())
+        fh = open(self.path, "r+b")
         fh.truncate(end)
         fh.seek(end)
         self._write_fh = fh
@@ -363,12 +361,17 @@ class ContainerBackend:
             fsync=self._fsync,
         )
 
-    def _on_blob_discard(self, key, entry: _Entry) -> None:
-        """Cache departure: free drop for clean blobs, spill queue for dirty."""
-        if self.stats is not None:
-            self.stats.bump("blob_evictions")
-        if key not in self._ondisk:
-            self._pending.append((key, entry))
+    def _admit(self, key, entry: _Entry, *, sticky: bool = False) -> None:
+        """Put into the blob tier, then spill what left it in one batch.
+
+        A departing clean blob is a free drop; a dirty one is queued.
+        """
+        for gone, gone_entry in self._hot.put(key, entry, sticky=sticky):
+            if self.stats is not None:
+                self.stats.bump("blob_evictions")
+            if gone not in self._ondisk:
+                self._pending.append((gone, gone_entry))
+        self._flush_pending()
 
     def _flush_pending(self) -> None:
         """Write every queued dirty blob: frames, one flush, one journal write.
@@ -400,44 +403,27 @@ class ContainerBackend:
         single write + flush."""
         if self._journal_fh is None:
             self._journal_fh = open(self.journal_path, "a", encoding="utf-8")
-        self._journal_fh.write("".join(_journal_line(k, f) for k, f in records))
+        self._journal_fh.write("".join(journal_line(k, f) for k, f in records))
         self._journal_fh.flush()
 
     def _read_spilled(self, key) -> _Entry:
+        """CRC-checked payload of a spilled frame: a zero-copy mmap view, or
+        a seek+read with ``use_mmap=False``."""
         f = self._ondisk[key]
+        what = f"spill frame for key {key!r}"
         if self._use_mmap:
-            blob = self._mapped_frame(key, f.offset, f.length, f.crc32)
+            if self._map is None:
+                self._map = FrameMap(self.path)
+            blob = self._map.check(f.offset, f.length, f.crc32, what)
         else:
             if self._read_fh is None:
                 if self._write_fh is not None:
                     self._write_fh.flush()
                 self._read_fh = open(self.path, "rb")
-            self._read_fh.seek(f.offset)
-            blob = self._read_fh.read(f.length)
-            if len(blob) != f.length:
-                raise FormatError(
-                    f"spill container truncated at frame for key {key!r}"
-                )
-            if zlib.crc32(blob) & 0xFFFFFFFF != f.crc32:
-                raise ChecksumError(f"spill container CRC mismatch for key {key!r}")
+            blob = read_checked_frame(self._read_fh, f, what)
         if self.stats is not None:
             self.stats.bump("disk_reads")
         return _Entry(blob, f.n_elements * 8, f.dims)
-
-    def _mapped_frame(self, key, offset: int, length: int, crc: int):
-        """Zero-copy CRC-checked view of one spilled frame's payload."""
-        if self._map is None:
-            self._map = FrameMap(self.path)
-        try:
-            return self._map.check(offset, length, crc)
-        except ChecksumError:
-            raise ChecksumError(
-                f"spill container CRC mismatch for key {key!r}"
-            ) from None
-        except FormatError:
-            raise FormatError(
-                f"spill container truncated at frame for key {key!r}"
-            ) from None
 
     # -- compaction -----------------------------------------------------------
 
@@ -480,12 +466,7 @@ class ContainerBackend:
                 },
             ) as w:
                 for i, (key, f) in enumerate(self._ondisk.items()):
-                    src.seek(f.offset)
-                    blob = src.read(f.length)
-                    if len(blob) != f.length or zlib.crc32(blob) & 0xFFFFFFFF != f.crc32:
-                        raise ChecksumError(
-                            f"spill frame for key {key!r} corrupt during compaction"
-                        )
+                    blob = read_checked_frame(src, f, f"spill frame for key {key!r}")
                     live[key] = w.append_blob(blob, f.n_elements, key=f.key, dims=f.dims)
                     if i == 0:
                         self._kill_point("mid_copy")
@@ -546,7 +527,9 @@ class ContainerBackend:
         """Revive spilled entries from a pre-existing spill file, if any.
 
         Valid container → reload from the footer index.  Footerless
-        (crashed writer) → structural salvage + journal join.  A file whose
+        (crashed writer) → :func:`repro.streamio.salvage_frames`, the scan
+        ``pastri fsck`` uses, which keys intact frames from a torn index
+        tail or the journal; only keyed frames are kept.  A file whose
         very header is torn holds nothing locatable; it is left for
         :func:`_ensure_writer` to truncate.  Either way the survivors'
         frames seed a resumed writer so the eventual clean close writes a
@@ -557,18 +540,20 @@ class ContainerBackend:
                 return
         except OSError:
             return  # no spill file: a genuinely fresh backend
-        live: dict = {}  # key -> FrameInfo (last write wins)
         try:
             with open_container(self.path) as r:
-                end_of_frames = r.data_start
-                for f in r.frames:
-                    end_of_frames = max(end_of_frames, f.offset + f.length)
-                    if f.key is not None:
-                        live[_revive_key(json.loads(f.key))] = f
+                frames = r.frames
+                end_of_frames = max([r.data_start, *(f.offset + f.length for f in frames)])
         except ReproError:
-            live, end_of_frames = self._salvage_unfooted()
-            if end_of_frames is None:
-                return
+            try:
+                with open(self.path, "rb") as fh:
+                    found = salvage_frames(fh, self.journal_path)
+            except FormatError:
+                return  # torn header: nothing locatable
+            frames = found.entries.values()
+            end_of_frames = found.walk.end_of_frames
+        # key -> FrameInfo, last write wins
+        live = {_revive_key(json.loads(f.key)): f for f in frames if f.key is not None}
         self._ondisk = live
         self._resume_writer(end_of_frames)  # drop the stale footer / torn tail
         for f in live.values():  # bind() set the stats before calling us
@@ -593,62 +578,9 @@ class ContainerBackend:
             return
         tmp = self.journal_path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("".join(_journal_line(k, f) for k, f in live.items()))
+            fh.write("".join(journal_line(k, f) for k, f in live.items()))
             fh.flush()
         os.replace(tmp, self.journal_path)
-
-    def _salvage_unfooted(self) -> tuple[dict, int | None]:
-        """Salvage a footerless spill: walk intact frames, re-key via journal."""
-        with open(self.path, "rb") as fh:
-            try:
-                _container_header_info(fh)
-            except ReproError:
-                return {}, None  # torn header: nothing locatable
-            data_start = fh.tell()
-            file_size = fh.seek(0, io.SEEK_END)
-            walk = walk_frames(fh, data_start, file_size)
-            complete = set(walk.frames)
-            live: dict = {}
-            for rec in self._read_journal():
-                try:
-                    offset, length = int(rec["offset"]), int(rec["length"])
-                    crc, nbytes = int(rec["crc"]), int(rec["nbytes"])
-                    key = _revive_key(rec["key"])
-                    dims = rec.get("dims")
-                except (KeyError, TypeError, ValueError):
-                    continue  # malformed record; skip it
-                if (offset, length) not in complete:
-                    continue  # frame fell in the torn tail
-                fh.seek(offset)
-                blob = fh.read(length)
-                if len(blob) != length or zlib.crc32(blob) & 0xFFFFFFFF != crc:
-                    continue  # payload no longer matches what was logged
-                live[key] = FrameInfo(
-                    offset, length, nbytes // 8, crc,
-                    json.dumps(key),
-                    None if dims is None else tuple(int(d) for d in dims),
-                )
-            return live, walk.end_of_frames
-
-    def _read_journal(self) -> list[dict]:
-        """Parse the sidecar journal, tolerating a torn final line."""
-        try:
-            fh = open(self.journal_path, encoding="utf-8")
-        except OSError:
-            return []
-        out: list[dict] = []
-        with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError:
-                    break  # torn tail write; everything before it is good
-                if isinstance(rec, dict):
-                    out.append(rec)
-        return out
 
     # -- backend interface ----------------------------------------------------
 
@@ -664,8 +596,7 @@ class ContainerBackend:
             self._dead_bytes += rec.length  # old frame is orphaned
             if prev is None:
                 prev = (rec.length, rec.n_elements * 8)
-        self._hot.put(key, entry, sticky=True)  # dirty: must reach disk
-        self._flush_pending()
+        self._admit(key, entry, sticky=True)  # dirty: must reach disk
         return prev
 
     def get(self, key) -> _Entry:
@@ -680,10 +611,8 @@ class ContainerBackend:
         if not self._retain_spills:
             # legacy promote: forget the on-disk copy, re-spill on eviction
             self._dead_bytes += self._ondisk.pop(key).length
-            self._hot.put(key, entry, sticky=True)
-        else:
-            self._hot.put(key, entry)  # clean: on-disk record retained
-        self._flush_pending()
+        # clean unless forgotten: the on-disk record is retained
+        self._admit(key, entry, sticky=not self._retain_spills)
         return entry
 
     def __contains__(self, key) -> bool:
@@ -815,9 +744,7 @@ class CompressedERIStore:
             self.backend = MemoryBackend()
         if self.hot_cache_bytes > 0:
             self._hot_arrays = SegmentedCache(
-                self.hot_cache_bytes,
-                sizeof=lambda a: a.nbytes,
-                on_discard=self._on_array_discard,
+                self.hot_cache_bytes, sizeof=lambda a: a.nbytes
             )
         self._cond = threading.Condition(self._lock)
         self._decoding: set = set()  # claimed keys: a decode is in flight
@@ -909,13 +836,17 @@ class CompressedERIStore:
 
     # -- array tier ------------------------------------------------------------
 
-    def _on_array_discard(self, key, arr) -> None:
-        self._hot_array_bytes -= arr.nbytes
+    def _admit_array(self, key, arr) -> None:
+        """Under the lock: put a decoded array into the tier and account for
+        it and for whatever left the tier to make room."""
+        self._hot_array_bytes += arr.nbytes
+        for gone, gone_arr in self._hot_arrays.put(key, arr):
+            self._hot_array_bytes -= gone_arr.nbytes
+            self.stats.bump("array_evictions")
+            if gone in self._prefetched:
+                self._prefetched.discard(gone)
+                self.stats.bump("readahead_wasted")
         self.stats.hot_bytes = self._hot_array_bytes
-        self.stats.bump("array_evictions")
-        if key in self._prefetched:
-            self._prefetched.discard(key)
-            self.stats.bump("readahead_wasted")
 
     def _note_access(self, key) -> None:
         """Feed the per-key access-sequence profile that drives readahead."""
@@ -1074,9 +1005,7 @@ class CompressedERIStore:
                     if arr is None or key in stale or self._hot_arrays is None:
                         continue
                     arr.setflags(write=False)  # cached arrays are shared
-                    self._hot_array_bytes += arr.nbytes
-                    self._hot_arrays.put(key, arr)
-                    self.stats.hot_bytes = self._hot_array_bytes
+                    self._admit_array(key, arr)
                     if speculative:
                         self._prefetched.add(key)
                         self.stats.bump("readahead_issued")
@@ -1287,18 +1216,6 @@ class CompressedERIStore:
     def keys(self):
         with self._lock:
             return list(self.backend.keys())
-
-
-def _journal_line(key, f: FrameInfo) -> str:
-    """One spill-journal record: where ``key``'s frame lives and what it holds."""
-    return json.dumps({
-        "key": key,
-        "offset": f.offset,
-        "length": f.length,
-        "crc": f.crc32,
-        "dims": None if f.dims is None else list(f.dims),
-        "nbytes": f.n_elements * 8,
-    }, separators=(",", ":")) + "\n"
 
 
 def _revive_key(key):

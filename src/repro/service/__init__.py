@@ -13,8 +13,8 @@ Five modules:
   (JSON header + raw binary payload) shared by both ends, with
   writev-style ``encode_*_parts`` buffer chains and ``recv_into`` frame
   reads for the zero-copy data plane;
-* :mod:`repro.service.buffers` — reusable growable payload buffers and a
-  small free-list pool (``service.buffers.*`` telemetry);
+* :mod:`repro.service.buffers` — reusable growable payload buffers
+  (``service.buffers.*`` telemetry);
 * :mod:`repro.service.endpoint` — the frame-serving loop, error mapping,
   bounded stop and thread host that the server and the cluster gateway
   share;
@@ -37,7 +37,7 @@ replication, hinted handoff — ``docs/CLUSTER.md``).
 
 from __future__ import annotations
 
-from repro.service.buffers import BufferPool, PayloadBuffer
+from repro.service.buffers import PayloadBuffer
 from repro.service.client import AsyncServiceClient, RetryPolicy, ServiceClient
 from repro.service.protocol import (
     MAGIC,
@@ -62,7 +62,6 @@ __all__ = [
     "read_frame",
     "read_frame_async",
     "read_frame_socket",
-    "BufferPool",
     "PayloadBuffer",
     "CompressionServer",
     "ServerConfig",

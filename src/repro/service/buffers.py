@@ -10,12 +10,10 @@ classes here keep those bytes in place instead:
   returns a :class:`memoryview` window, so steady-state traffic does no
   per-request allocation at all (growth is geometric, so a connection
   reaches its high-water mark and stays there).
-* :class:`BufferPool` — a small free-list of :class:`PayloadBuffer` for
-  endpoints that multiplex (one buffer per in-flight response).
 
 ``service.buffers.*`` telemetry records the effect: ``reuses`` vs
 ``grows`` on the buffers, and ``bytes_borrowed`` (served from a view or a
-pooled buffer) vs ``bytes_copied`` (had to materialize) on the payload
+reused buffer) vs ``bytes_copied`` (had to materialize) on the payload
 path, mirroring the ``store.shm.*`` convention in
 :mod:`repro.parallel.shm`.
 """
@@ -27,7 +25,7 @@ import socket
 from repro.telemetry import REGISTRY as _METRICS
 from repro.telemetry import state as _tstate
 
-__all__ = ["PayloadBuffer", "BufferPool", "count_borrowed", "count_copied"]
+__all__ = ["PayloadBuffer", "count_borrowed", "count_copied"]
 
 
 def _count(name: str, n: int = 1) -> None:
@@ -36,7 +34,7 @@ def _count(name: str, n: int = 1) -> None:
 
 
 def count_borrowed(nbytes: int) -> None:
-    """Record payload bytes served zero-copy (view/pooled buffer)."""
+    """Record payload bytes served zero-copy (a view or a reused buffer)."""
     _count("service.buffers.bytes_borrowed", nbytes)
 
 
@@ -96,33 +94,3 @@ class PayloadBuffer:
             got += r
         count_borrowed(n)
         return mv[:n]
-
-
-class BufferPool:
-    """A bounded free-list of :class:`PayloadBuffer`.
-
-    ``acquire``/``release`` pair around one response lifetime; releasing
-    beyond ``max_free`` drops the buffer (the pool never grows without
-    bound).  Single-threaded by design — the asyncio server runs acquire
-    and release on the event loop; blocking callers should own one
-    :class:`PayloadBuffer` per connection instead.
-    """
-
-    def __init__(self, max_free: int = 8, initial: int = 64 << 10) -> None:
-        self._free: list[PayloadBuffer] = []
-        self._max_free = max_free
-        self._initial = initial
-
-    def acquire(self, n: int = 0) -> PayloadBuffer:
-        if self._free:
-            buf = self._free.pop()
-            _count("service.buffers.pool_hits")
-        else:
-            buf = PayloadBuffer(self._initial)
-        if n:
-            buf.ensure(n)
-        return buf
-
-    def release(self, buf: PayloadBuffer) -> None:
-        if len(self._free) < self._max_free:
-            self._free.append(buf)

@@ -37,6 +37,13 @@ v1 streams (``magic 'PSTF' | version 1 | codec name``, frames, 0-sentinel,
 no index / no checksums / no codec kwargs) still read through every entry
 point, including :func:`open_container` (the index is rebuilt by one
 sequential scan).
+
+No other module reads or writes PSTF bytes, and each structure has one
+implementation here: the header parser, the index parser (strict on open,
+tolerant of a torn tail on salvage), the index writer, the frame walk
+(which also builds the v1 index), the CRC-checked frame read, the spill
+journal's line format and parser, and :func:`salvage_frames` — the one
+salvage scan ``pastri fsck`` and a restarting spill store both run.
 """
 
 from __future__ import annotations
@@ -64,6 +71,8 @@ _MAGIC = b"PSTF"
 _INDEX_MAGIC = b"PSTFIDX2"
 _V1 = 1
 _V2 = 2
+#: index crc32 u32 + index length u64 + magic
+_TRAILER_LEN = 4 + 8 + len(_INDEX_MAGIC)
 #: Largest frame a non-seekable read will allocate for.  Seekable handles
 #: validate the length against the real remaining byte count instead.
 FRAME_SANITY_CAP = 1 << 32
@@ -73,6 +82,7 @@ __all__ = [
     "FrameInfo",
     "FrameMap",
     "FrameWalk",
+    "FrameSalvage",
     "SalvageReport",
     "check_frame_entry",
     "ContainerWriter",
@@ -84,7 +94,11 @@ __all__ = [
     "compress_dataset_to_file",
     "decompress_file",
     "write_v1_stream",
+    "read_checked_frame",
     "walk_frames",
+    "journal_line",
+    "read_journal",
+    "salvage_frames",
     "salvage_container",
 ]
 
@@ -143,20 +157,33 @@ def check_frame_entry(n_elements: int, key: str | None, dims) -> bytes:
     return raw
 
 
-def _encode_index(frames: list[FrameInfo]) -> bytes:
-    out = bytearray(struct.pack("<I", len(frames)))
+def _write_index(fh: BinaryIO, frames: list[FrameInfo]) -> int:
+    """Append the index payload and its trailer; returns the bytes written.
+
+    The one writer of the footer index, for :meth:`ContainerWriter.close`
+    and the salvage rewrite.  The caller writes the 0-sentinel before it.
+    """
+    payload = bytearray(struct.pack("<I", len(frames)))
     for f in frames:
         key = check_frame_entry(f.n_elements, f.key, f.dims)
-        out += struct.pack("<QQQI", f.offset, f.length, f.n_elements, f.crc32 or 0)
-        out += struct.pack("<H", len(key)) + key
+        payload += struct.pack("<QQQI", f.offset, f.length, f.n_elements, f.crc32 or 0)
+        payload += struct.pack("<H", len(key)) + key
         dims = f.dims or ()
-        out += struct.pack("<B", len(dims))
-        for d in dims:
-            out += struct.pack("<H", int(d))
-    return bytes(out)
+        payload += struct.pack(f"<B{len(dims)}H", len(dims), *(int(d) for d in dims))
+    fh.write(payload)
+    fh.write(struct.pack("<IQ", zlib.crc32(payload) & 0xFFFFFFFF, len(payload)))
+    fh.write(_INDEX_MAGIC)
+    return len(payload) + _TRAILER_LEN
 
 
-def _decode_index(payload: bytes) -> list[FrameInfo]:
+def _parse_index(payload: bytes, *, torn_ok: bool = False) -> list[FrameInfo]:
+    """Parse an index payload into its entries.
+
+    Strict by default (:func:`open_container`): a short field, a key that
+    is not UTF-8 or a trailing byte raises :class:`FormatError`.  With
+    ``torn_ok`` (salvage) the entries before the first damaged one are
+    returned and whatever follows them is ignored.
+    """
     view = io.BytesIO(payload)
 
     def take(n: int, what: str) -> bytes:
@@ -168,24 +195,29 @@ def _decode_index(payload: bytes) -> list[FrameInfo]:
             )
         return raw
 
-    (n_frames,) = struct.unpack("<I", take(4, "frame count"))
-    frames = []
-    for _ in range(n_frames):
-        offset, length, n_elements, crc = struct.unpack("<QQQI", take(28, "entry"))
-        (key_len,) = struct.unpack("<H", take(2, "key length"))
-        try:
-            key = take(key_len, "key").decode("utf-8") if key_len else None
-        except UnicodeDecodeError as exc:
-            raise FormatError(
-                f"corrupt frame key at index byte {view.tell() - key_len}: "
-                f"not valid UTF-8 ({exc})"
-            ) from exc
-        (n_dims,) = struct.unpack("<B", take(1, "dims count"))
-        dims = (
-            struct.unpack(f"<{n_dims}H", take(2 * n_dims, "dims")) if n_dims else None
-        )
-        frames.append(FrameInfo(offset, length, n_elements, crc, key, dims))
-    if view.read(1):
+    frames: list[FrameInfo] = []
+    try:
+        (n_frames,) = struct.unpack("<I", take(4, "frame count"))
+        for _ in range(n_frames):
+            offset, length, n_elements, crc = struct.unpack("<QQQI", take(28, "entry"))
+            (key_len,) = struct.unpack("<H", take(2, "key length"))
+            try:
+                key = take(key_len, "key").decode("utf-8") if key_len else None
+            except UnicodeDecodeError as exc:
+                raise FormatError(
+                    f"corrupt frame key at index byte {view.tell() - key_len}: "
+                    f"not valid UTF-8 ({exc})"
+                ) from exc
+            (n_dims,) = struct.unpack("<B", take(1, "dims count"))
+            dims = (
+                struct.unpack(f"<{n_dims}H", take(2 * n_dims, "dims")) if n_dims else None
+            )
+            frames.append(FrameInfo(offset, length, n_elements, crc, key, dims))
+    except FormatError:
+        if not torn_ok:
+            raise
+        return frames
+    if not torn_ok and view.read(1):
         raise FormatError("frame index has trailing bytes")
     return frames
 
@@ -383,14 +415,11 @@ class ContainerWriter:
             raise FormatError("container already closed")
         self._closed = True
         self.fh.write(struct.pack("<Q", 0))
-        payload = _encode_index(self.frames)
-        self.fh.write(payload)
-        self.fh.write(struct.pack("<IQ", zlib.crc32(payload) & 0xFFFFFFFF, len(payload)))
-        self.fh.write(_INDEX_MAGIC)
+        index_bytes = _write_index(self.fh, self.frames)
         self.fh.flush()
         if self._fsync:
             _fsync_fh(self.fh)
-        total = self._pos + 8 + len(payload) + 4 + 8 + len(_INDEX_MAGIC)
+        total = self._pos + 8 + index_bytes
         self.summary = StreamSummary(len(self.frames), self._original_bytes, total)
         if self._owns_fh:
             self.fh.close()
@@ -483,16 +512,17 @@ class FrameMap:
             )
         return memoryview(self._mm)[offset:end]
 
-    def check(self, offset: int, length: int, crc32: int) -> memoryview:
-        """CRC-verified :meth:`view` (the verification never copies)."""
-        v = self.view(offset, length)
-        actual = zlib.crc32(v) & 0xFFFFFFFF
-        if actual != crc32:
-            raise ChecksumError(
-                f"frame CRC mismatch at byte {offset} of {self.path!r} "
-                f"(stored {crc32:#010x}, computed {actual:#010x})"
-            )
-        return v
+    def check(
+        self, offset: int, length: int, crc32: int, what: str = "frame"
+    ) -> memoryview:
+        """CRC-verified :meth:`view` (the verification never copies).
+
+        ``what`` names the frame in the :class:`ChecksumError` text.
+        """
+        return _check_crc(
+            self.view(offset, length), crc32,
+            f"{what} at byte {offset} of {self.path!r}",
+        )
 
     def invalidate(self) -> None:
         """Drop the current mapping (e.g. the file was atomically replaced).
@@ -531,6 +561,29 @@ def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
             f"(wanted {n} bytes, got {len(raw)})"
         )
     return raw
+
+
+def _check_crc(data, stored: int | None, what: str):
+    """Return ``data`` when its CRC32 is ``stored`` (``None``: v1, unchecked)."""
+    if stored is not None:
+        actual = zlib.crc32(data) & 0xFFFFFFFF
+        if actual != stored:
+            raise ChecksumError(
+                f"{what} payload CRC mismatch (stored {stored:#010x}, "
+                f"computed {actual:#010x}): flipped bits or index/payload skew"
+            )
+    return data
+
+
+def read_checked_frame(fh: BinaryIO, frame: FrameInfo, what: str = "frame") -> bytes:
+    """Read the payload ``frame`` describes and verify its CRC (v2 entries).
+
+    The one seek-and-read frame access: a short read raises
+    :class:`FormatError`, a CRC mismatch :class:`ChecksumError`, and
+    ``what`` names the frame in either message.
+    """
+    fh.seek(frame.offset)
+    return _check_crc(_read_exact(fh, frame.length, what), frame.crc32, what)
 
 
 def _read_header_info(fh: BinaryIO) -> tuple[int, str, dict]:
@@ -615,25 +668,6 @@ def decompress_stream(fh: BinaryIO, codec: Codec) -> Iterator[np.ndarray]:
         yield codec.decompress(blob)
 
 
-def _scan_v1_frames(fh: BinaryIO) -> list[FrameInfo]:
-    """Rebuild a frame index for a v1 stream by one sequential scan."""
-    frames = []
-    while True:
-        pos = fh.tell()
-        raw = fh.read(8)
-        if len(raw) != 8:
-            raise FormatError("truncated container: missing frame length")
-        (length,) = struct.unpack("<Q", raw)
-        if length == 0:
-            return frames
-        _validate_frame_length(fh, length)
-        if fh.seek(length, io.SEEK_CUR) != pos + 8 + length:
-            raise FormatError("truncated container: short frame")
-        # v1 carried no element counts or checksums; counts are filled in
-        # lazily on first decode (see ContainerReader.read_frame).
-        frames.append(FrameInfo(offset=pos + 8, length=length, n_elements=0))
-
-
 def _codec_for_v1(name: str, fh: BinaryIO, frames: list[FrameInfo]) -> Codec:
     """Best-effort codec reconstruction for a v1 header (name only).
 
@@ -690,7 +724,14 @@ class ContainerReader:
             self._codec = codec
             self._raw_codec_spec = spec
         else:
-            self.frames = _scan_v1_frames(fh)
+            walk = walk_frames(fh, self.data_start, fh.seek(0, io.SEEK_END))
+            if walk.damage is not None or not walk.saw_sentinel:
+                raise FormatError(
+                    f"truncated container: {walk.damage or 'missing frame length'}"
+                )
+            # v1 carried no element counts or checksums; counts are filled
+            # in lazily on first decode (see read_frame).
+            self.frames = [FrameInfo(o, n, 0) for o, n in walk.frames]
             self._raw_codec_spec = None
             self._codec = codec if codec is not None else _codec_for_v1(
                 self.codec_name, fh, self.frames
@@ -712,13 +753,12 @@ class ContainerReader:
                 "use decompress_stream for sequential reads"
             )
         file_size = fh.seek(0, io.SEEK_END)
-        tail_len = 4 + 8 + len(_INDEX_MAGIC)
-        if file_size < tail_len:
+        if file_size < _TRAILER_LEN:
             raise FormatError(
                 f"truncated container: {file_size}-byte file cannot hold the "
-                f"{tail_len}-byte index trailer"
+                f"{_TRAILER_LEN}-byte index trailer"
             )
-        fh.seek(file_size - tail_len)
+        fh.seek(file_size - _TRAILER_LEN)
         stored_crc, payload_len = struct.unpack("<IQ", _read_exact(fh, 12, "trailer"))
         if _read_exact(fh, len(_INDEX_MAGIC), "index magic") != _INDEX_MAGIC:
             raise FormatError(
@@ -726,11 +766,11 @@ class ContainerReader:
                 f"{file_size - len(_INDEX_MAGIC)}: "
                 + self._describe_unfooted(file_size)
             )
-        index_start = file_size - tail_len - payload_len
+        index_start = file_size - _TRAILER_LEN - payload_len
         if payload_len > file_size or index_start < 0:
             raise FormatError(
                 f"corrupt index length {payload_len} in trailer at byte "
-                f"{file_size - tail_len}"
+                f"{file_size - _TRAILER_LEN}"
             )
         fh.seek(index_start)
         payload = _read_exact(fh, payload_len, "index payload")
@@ -740,7 +780,7 @@ class ContainerReader:
                 f"frame index CRC mismatch (stored {stored_crc:#010x}, "
                 f"computed {actual:#010x})"
             )
-        frames = _decode_index(payload)
+        frames = _parse_index(payload)
         for i, f in enumerate(frames):
             if f.offset + f.length > index_start:
                 raise FormatError(
@@ -791,25 +831,15 @@ class ContainerReader:
     def read_blob(self, i: int) -> bytes:
         """Read frame ``i``'s raw blob (CRC-verified on v2), nothing else."""
         f = self.frames[i]
-        if _tstate.enabled:
-            t0 = time.perf_counter()
-            self.fh.seek(f.offset)
-            blob = _read_exact(self.fh, f.length, f"frame {i}")
-            _METRICS.timer("container.read.frame").observe(
-                time.perf_counter() - t0, nbytes=f.length
-            )
-            _METRICS.counter("container.read.payload_bytes").add(f.length)
-            _METRICS.counter("container.read.frames").add(1)
-        else:
-            self.fh.seek(f.offset)
-            blob = _read_exact(self.fh, f.length, f"frame {i}")
-        if f.crc32 is not None:
-            actual = zlib.crc32(blob) & 0xFFFFFFFF
-            if actual != f.crc32:
-                raise ChecksumError(
-                    f"frame {i} payload CRC mismatch (stored {f.crc32:#010x}, "
-                    f"computed {actual:#010x}): flipped bits or index/payload skew"
-                )
+        if not _tstate.enabled:
+            return read_checked_frame(self.fh, f, f"frame {i}")
+        t0 = time.perf_counter()
+        blob = read_checked_frame(self.fh, f, f"frame {i}")
+        _METRICS.timer("container.read.frame").observe(
+            time.perf_counter() - t0, nbytes=f.length
+        )
+        _METRICS.counter("container.read.payload_bytes").add(f.length)
+        _METRICS.counter("container.read.frames").add(1)
         return blob
 
     def read_frame(self, i: int) -> np.ndarray:
@@ -973,51 +1003,111 @@ def walk_frames(fh: BinaryIO, data_start: int, file_size: int) -> FrameWalk:
                      saw_sentinel, tail_start, damage)
 
 
-def _recover_index_tail(
-    tail: bytes, walked: set[tuple[int, int]]
-) -> dict[tuple[int, int], FrameInfo]:
-    """Best-effort prefix parse of a (possibly torn) footer index.
+# -- the spill journal: a footerless container's sidecar frame records
 
-    Returns complete index entries whose ``(offset, length)`` matches a
-    structurally intact frame — these contribute the metadata (key, dims,
-    element count, stored CRC) that the frame bytes alone cannot supply.
-    Entries torn mid-record, and anything after them, are ignored.
+
+def journal_line(key, frame: FrameInfo) -> str:
+    """One journal record of an appended frame.
+
+    ``key`` is the JSON value whose ``json.dumps`` is ``frame.key`` (the
+    form the frame index holds); the record carries where the frame lives
+    and what it holds, one compact JSON object per line.
     """
-    view = io.BytesIO(tail)
-    out: dict[tuple[int, int], FrameInfo] = {}
-    head = view.read(4)
-    if len(head) != 4:
-        return out
-    (n_frames,) = struct.unpack("<I", head)
-    for _ in range(min(n_frames, len(walked) + 1)):
-        entry = view.read(28)
-        if len(entry) != 28:
-            break
-        offset, length, n_elements, crc = struct.unpack("<QQQI", entry)
-        raw_key_len = view.read(2)
-        if len(raw_key_len) != 2:
-            break
-        (key_len,) = struct.unpack("<H", raw_key_len)
-        raw_key = view.read(key_len)
-        if len(raw_key) != key_len:
-            break
-        try:
-            key = raw_key.decode("utf-8") if key_len else None
-        except UnicodeDecodeError:
-            break
-        raw_n_dims = view.read(1)
-        if len(raw_n_dims) != 1:
-            break
-        (n_dims,) = struct.unpack("<B", raw_n_dims)
-        raw_dims = view.read(2 * n_dims)
-        if len(raw_dims) != 2 * n_dims:
-            break
-        dims = struct.unpack(f"<{n_dims}H", raw_dims) if n_dims else None
-        if (offset, length) in walked:
-            out[(offset, length)] = FrameInfo(
-                offset, length, n_elements, crc, key, dims
-            )
+    return json.dumps({
+        "key": key,
+        "offset": frame.offset,
+        "length": frame.length,
+        "crc": frame.crc32,
+        "dims": None if frame.dims is None else list(frame.dims),
+        "nbytes": frame.n_elements * 8,
+    }, separators=(",", ":")) + "\n"
+
+
+def read_journal(path: str) -> list[FrameInfo]:
+    """Parse a journal into index entries, in record order.
+
+    A missing file reads as empty, a torn final line ends the journal and
+    a malformed record is skipped.  Each entry's key is the JSON dump of
+    the record's key, as the frame index holds it.
+    """
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError:
+        return []
+    out: list[FrameInfo] = []
+    with fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                break  # torn tail write; everything before it is good
+            try:
+                dims = rec.get("dims")
+                out.append(FrameInfo(
+                    int(rec["offset"]), int(rec["length"]),
+                    int(rec["nbytes"]) // 8, int(rec["crc"]),
+                    json.dumps(rec["key"]),
+                    None if dims is None else tuple(int(d) for d in dims),
+                ))
+            except (AttributeError, KeyError, TypeError, ValueError):
+                continue  # malformed record; skip it
     return out
+
+
+@dataclass(frozen=True)
+class FrameSalvage:
+    """What :func:`salvage_frames` found in a footerless container.
+
+    ``entries`` maps the ``(offset, length)`` of each intact frame that an
+    index entry describes — one with the frame's CRC — to that entry, in
+    the order the index tail and then the journal list them; frames that
+    nothing describes are absent.
+    """
+
+    version: int
+    codec_name: str
+    header: dict
+    data_start: int
+    file_size: int
+    walk: FrameWalk
+    entries: dict[tuple[int, int], FrameInfo]
+
+
+def salvage_frames(fh: BinaryIO, journal_path: str | None = None) -> FrameSalvage:
+    """Walk a footerless container's intact frames and describe each one.
+
+    A frame's entry comes from the surviving, possibly torn, index tail
+    first, otherwise from the journal at ``journal_path``; either must
+    match the frame's ``(offset, length)`` and CRC.  ``pastri fsck``
+    (:func:`salvage_container`) and a restarting spill store
+    (:class:`repro.pipeline.store.ContainerBackend`) both recover through
+    this scan.  Raises :class:`FormatError` when the header is torn.
+    """
+    fh.seek(0)
+    version, codec_name, header = _read_header_info(fh)
+    data_start = fh.tell()
+    file_size = fh.seek(0, io.SEEK_END)
+    walk = walk_frames(fh, data_start, file_size)
+    tail: list[FrameInfo] = []
+    if walk.tail_start is not None:
+        fh.seek(walk.tail_start)
+        tail = _parse_index(fh.read(), torn_ok=True)
+    journal = read_journal(journal_path) if journal_path is not None else []
+    intact = set(walk.frames)
+    entries: dict[tuple[int, int], FrameInfo] = {}
+    for entry in (*tail, *journal):
+        where = (entry.offset, entry.length)
+        if where not in intact or where in entries:
+            continue
+        try:
+            read_checked_frame(fh, entry, "salvage frame")
+        except ChecksumError:
+            continue
+        entries[where] = entry
+    return FrameSalvage(version, codec_name, header, data_start, file_size, walk, entries)
 
 
 @dataclass(frozen=True)
@@ -1086,13 +1176,13 @@ def salvage_container(
 ) -> SalvageReport:
     """Salvage a torn or footerless PSTF container (the ``fsck`` core).
 
-    Scans the frame region sequentially using the per-frame length
-    prefixes, keeps every frame whose payload verifies — against the CRC
-    recovered from a surviving (possibly torn) footer index when one
-    matches, otherwise by actually decoding the blob — drops the torn
+    Scans the frame region with :func:`salvage_frames`, keeps every frame
+    whose payload verifies — against the entry of a surviving (possibly
+    torn) footer index or of the spill journal ``path + ".journal"`` when
+    one matches, otherwise by actually decoding the blob — drops the torn
     tail, and rewrites a valid footer index.  Keys and dims are preserved
-    for frames whose index entries survived; a file killed before its
-    index was written keeps its payloads but loses its keys (see
+    for frames so described; a file killed before its index was written
+    and with no journal keeps its payloads but loses its keys (see
     ``docs/FORMAT.md``, *Durability & recovery*).
 
     An already-valid container is a byte-identical no-op (``clean=True``).
@@ -1111,18 +1201,15 @@ def salvage_container(
 
     with open(path, "rb") as fh:
         try:
-            version, codec_name, header = _read_header_info(fh)
+            found = salvage_frames(fh, path + ".journal")
         except FormatError as exc:
             raise FormatError(
                 f"{path}: unrecoverable — the container header itself is "
                 f"damaged ({exc}); no frame can be located without it"
             ) from exc
-        data_start = fh.tell()
-        file_size = fh.seek(0, io.SEEK_END)
-        walk = walk_frames(fh, data_start, file_size)
-
-        if version == _V2:
-            spec = header.get("codec")
+        walk = found.walk
+        if found.version == _V2:
+            spec = found.header.get("codec")
             if spec is None:
                 raise FormatError(
                     f"{path}: unrecoverable — v2 header carries no codec spec"
@@ -1130,50 +1217,42 @@ def salvage_container(
             codec = api.codec_from_spec(spec)
         else:
             codec = _codec_for_v1(
-                codec_name, fh,
+                found.codec_name, fh,
                 [FrameInfo(o, n, 0) for o, n in walk.frames[:1]],
             )
-
-        index_meta: dict[tuple[int, int], FrameInfo] = {}
-        if walk.saw_sentinel and walk.tail_start is not None:
-            fh.seek(walk.tail_start)
-            index_meta = _recover_index_tail(fh.read(), set(walk.frames))
 
         kept: list[FrameInfo] = []
         dropped = 0
         for offset, length in walk.frames:
-            fh.seek(offset)
-            blob = _read_exact(fh, length, "salvage frame")
-            crc = zlib.crc32(blob) & 0xFFFFFFFF
-            meta = index_meta.get((offset, length))
-            if meta is not None and meta.crc32 == crc:
-                kept.append(meta)
-                continue
-            try:  # no trustworthy stored CRC: validate by decoding
-                n_elements = int(codec.decompress(blob).size)
-            except ReproError:
-                dropped += 1
-                continue
-            kept.append(FrameInfo(offset, length, n_elements, crc))
+            entry = found.entries.get((offset, length))
+            if entry is None:  # nothing describes the frame: validate by decoding
+                fh.seek(offset)
+                blob = _read_exact(fh, length, "salvage frame")
+                try:
+                    n_elements = int(codec.decompress(blob).size)
+                except ReproError:
+                    dropped += 1
+                    continue
+                entry = FrameInfo(offset, length, n_elements, zlib.crc32(blob) & 0xFFFFFFFF)
+            kept.append(entry)
 
-        report_damage = walk.damage or "footer index missing or invalid"
         out_path = None
         if not dry_run:
             out_path = output if output is not None else path
-            _write_salvaged(fh, data_start, version, codec, kept, out_path)
+            _write_salvaged(fh, found.data_start, found.version, kept, out_path)
 
     # everything not carried over: torn tail, stale footer, dropped frames
-    bytes_kept = data_start + sum(8 + f.length for f in kept)
+    bytes_kept = found.data_start + sum(8 + f.length for f in kept)
     report = SalvageReport(
         path=path,
         clean=False,
-        version=version,
+        version=found.version,
         frames_recovered=len(kept),
         frames_dropped=dropped,
-        bytes_dropped=file_size - bytes_kept,
+        bytes_dropped=found.file_size - bytes_kept,
         keys_recovered=sum(1 for f in kept if f.key is not None),
         n_elements=sum(f.n_elements for f in kept),
-        damage=report_damage,
+        damage=walk.damage or "footer index missing or invalid",
         output_path=out_path,
     )
     if _tstate.enabled:
@@ -1187,7 +1266,6 @@ def _write_salvaged(
     src: BinaryIO,
     data_start: int,
     version: int,
-    codec: Codec,
     kept: list[FrameInfo],
     out_path: str,
 ) -> None:
@@ -1215,12 +1293,7 @@ def _write_salvaged(
             pos += 8 + f.length
         dst.write(struct.pack("<Q", 0))
         if version == _V2:
-            payload = _encode_index(rebuilt)
-            dst.write(payload)
-            dst.write(struct.pack(
-                "<IQ", zlib.crc32(payload) & 0xFFFFFFFF, len(payload)
-            ))
-            dst.write(_INDEX_MAGIC)
+            _write_index(dst, rebuilt)
         dst.flush()
         _fsync_fh(dst)
     os.replace(tmp, out_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bitio import BitWriter
-from repro.core.trees import TREE_IDS, decode_ecq, encode_ecq, encoded_size_bits
+from repro.core.trees import TREE_IDS, decode_ecq, encode_ecq, encoded_size_bits_batch
 from repro.errors import ParameterError
 
 
@@ -88,7 +88,8 @@ def test_encoded_size_matches_actual_bits(tree, rng):
     ecb = 7
     vals = rng.integers(-63, 64, 300)
     _, nbits = roundtrip(vals, ecb, tree)
-    assert nbits == encoded_size_bits(vals, ecb, tree)
+    (size,) = encoded_size_bits_batch(vals[None, :], np.array([ecb]), tree)
+    assert nbits == size
 
 
 @pytest.mark.parametrize("tree", TREE_IDS)
@@ -101,9 +102,9 @@ def test_extremes_of_range_roundtrip(tree):
 
 
 def test_all_zero_stream_costs_one_bit_per_point():
-    vals = np.zeros(64, dtype=np.int64)
+    vals = np.zeros((1, 64), dtype=np.int64)
     for tree in TREE_IDS:
-        assert encoded_size_bits(vals, 3, tree) == 64
+        assert encoded_size_bits_batch(vals, np.array([3]), tree)[0] == 64
 
 
 def test_rejects_unknown_tree_and_bad_ecb():

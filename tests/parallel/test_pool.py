@@ -195,6 +195,24 @@ def test_worker_exception_surfaces_as_compression_error(rng, tmp_path, boom_code
         parallel_compress_to_container("boom", data, 1e-10, 2, BLOCK, path)
 
 
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_nan_input_raises_parameter_error_at_any_worker_count(rng, tmp_path, n_workers):
+    """A library error raised in a worker surfaces as the in-process path
+    raises it, from both parallel compress entry points."""
+    from repro.parallel.pool import parallel_compress_to_container
+
+    data = make_patterned_stream(rng, n_blocks=8)
+    data[BLOCK + 5] = np.nan
+    kwargs = {"dims": (6, 6, 6, 6)}
+    with pytest.raises(ParameterError):
+        parallel_compress("pastri", data, 1e-10, n_workers, BLOCK, kwargs)
+    path = str(tmp_path / "nan.pstf")
+    with pytest.raises(ParameterError):
+        parallel_compress_to_container(
+            "pastri", data, 1e-10, n_workers, BLOCK, path, codec_kwargs=kwargs
+        )
+
+
 # ---------------------------------------------------------------------------
 # container-backed parallel I/O
 

@@ -149,24 +149,28 @@ def test_record_access_feeds_admission_without_lookup():
 
 
 # ---------------------------------------------------------------------------
-# sticky entries and the discard callback
+# sticky entries and the departures put returns
 
 
 def test_sticky_bypasses_admission_and_unstick_reverts():
     dropped = []
-    c = SegmentedCache(400, on_discard=lambda k, v: dropped.append(k))
+    c = SegmentedCache(400)
+
+    def put(key, value, **kw):
+        dropped.extend(k for k, _ in c.put(key, value, **kw))
+
     for i in range(20):  # established, popular main region
-        c.put(f"m{i}", val(100))
+        put(f"m{i}", val(100))
         for _ in range(5):
             c.get(f"m{i}")
-    c.put("dirty", val(100), sticky=True)
+    put("dirty", val(100), sticky=True)
     for i in range(20):  # pressure that would reject a normal newcomer
-        c.put(f"n{i}", val(100))
+        put(f"n{i}", val(100))
     assert "dirty" in c, "sticky entry was lost to the admission filter"
     c.unstick("dirty")
     # once unstuck it competes normally: hotter newcomers push it out
     for i in range(40):
-        c.put(f"p{i}", val(100))
+        put(f"p{i}", val(100))
         for _ in range(10):
             c.get(f"p{i}")
     assert "dirty" not in c
@@ -175,12 +179,12 @@ def test_sticky_bypasses_admission_and_unstick_reverts():
 
 def test_on_discard_fires_for_capacity_departures_only():
     dropped = []
-    c = SegmentedCache(300, on_discard=lambda k, v: dropped.append((k, v)))
-    c.put("a", val(100))
-    c.pop("a")  # explicit removal: no callback
+    c = SegmentedCache(300)
+    dropped.extend(c.put("a", val(100)))
+    c.pop("a")  # explicit removal: not a departure
     assert dropped == []
     for i in range(10):
-        c.put(i, val(100))
+        dropped.extend(c.put(i, val(100)))
     assert len(dropped) >= 7  # the rest left for capacity reasons
     # every departed value is handed over intact
     assert all(v == val(100) for _, v in dropped)

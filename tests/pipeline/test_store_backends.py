@@ -1,6 +1,8 @@
 """Backend-specific store behavior: spilling, persistence, hot caches."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -97,6 +99,28 @@ def test_closed_spill_file_is_a_valid_container(tmp_path, rng):
         assert set(served) == {json.dumps(k) for k in blocks}
         for key, b in blocks.items():
             assert np.max(np.abs(served[json.dumps(key)] - b)) <= EB
+
+
+def test_closed_store_is_freed_without_the_cyclic_gc(tmp_path, rng):
+    """Neither cache tier refers back to its owner, so reference counting
+    alone frees a closed store, its array tier and its blob tier."""
+    path = str(tmp_path / "spill.pstf")
+    store = CompressedERIStore(
+        codec(), EB, backend=ContainerBackend(path, 1024),
+        hot_cache_bytes=4 * BLOCK_NBYTES,
+    )
+    blocks = fill(store, rng)
+    for key in blocks:
+        store.get(key)
+    assert store.stats.spills > 0 and store.stats.hot_bytes > 0  # both tiers used
+    refs = [weakref.ref(store), weakref.ref(store.backend)]
+    gc.disable()
+    try:
+        store.close()
+        del store
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_backend_outside_a_store_is_rejected(tmp_path):

@@ -28,7 +28,6 @@ from repro.core.trees import (
     decode_ecq_planar,
     encode_ecq,
     encode_ecq_planar,
-    encoded_size_bits,
     encoded_size_bits_from_moments,
     skip_planar_segment,
 )
@@ -196,7 +195,7 @@ def test_batched_row_encoders_match_per_block(spec_rows, tree_id):
         got = np.concatenate(batched[k])
         assert np.array_equal(got, np.concatenate(alone))
         assert np.array_equal(got, _reference_planar(row, int(ecb), tree_id))
-        assert got.size == encoded_size_bits(row, int(ecb), tree_id)
+        assert got.size == int(encode_ecq(row, int(ecb), tree_id)[1].sum())
     # int32 residuals (the compressor's usual dtype) emit the same bits
     if int(ecbs.max()) <= 31:
         batched32 = encode_ecq_planar(ecq2d.astype(np.int32), ecbs, tree_id)
@@ -243,7 +242,7 @@ def test_moment_sizing_matches_exact_count(spec_rows, tree_id):
     s = np.minimum(a, 2).sum(axis=1)
     sizes = encoded_size_bits_from_moments(N, nnz, s, ecbs, tree_id)
     for k, (row, ecb) in enumerate(zip(ecq2d, ecbs)):
-        assert sizes[k] == encoded_size_bits(row, int(ecb), tree_id)
+        assert sizes[k] == int(encode_ecq(row, int(ecb), tree_id)[1].sum())
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 6))
@@ -259,4 +258,4 @@ def test_three_leaf_fused_encoder_matches_tree5(seed, n_rows):
         nz = row != 0
         assert np.array_equal(got, np.concatenate([nz, row[nz] < 0]).astype(np.uint8))
         assert np.array_equal(got, _reference_planar(row, 2, 5))
-        assert got.size == encoded_size_bits(row, 2, 5)
+        assert got.size == int(encode_ecq(row, 2, 5)[1].sum())

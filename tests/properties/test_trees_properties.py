@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitio import BitWriter
-from repro.core.trees import TREE_IDS, decode_ecq, encode_ecq, encoded_size_bits
+from repro.core.trees import TREE_IDS, decode_ecq, encode_ecq, encoded_size_bits_batch
 
 
 @st.composite
@@ -37,15 +37,16 @@ def test_roundtrip_identity(stream, tree):
 def test_size_formula_exact(stream, tree):
     vals, ecb = stream
     _, lengths = encode_ecq(vals, ecb, tree)
-    assert int(lengths.sum()) == encoded_size_bits(vals, ecb, tree)
+    (size,) = encoded_size_bits_batch(vals[None, :], np.array([ecb]), tree)
+    assert int(lengths.sum()) == size
 
 
 @given(stream=ecq_streams())
 @settings(max_examples=80, deadline=None)
 def test_tree5_never_loses_to_tree3_or_small_case(stream):
     vals, ecb = stream
-    s5 = encoded_size_bits(vals, ecb, 5)
-    s3 = encoded_size_bits(vals, ecb, 3)
+    s5 = int(encode_ecq(vals, ecb, 5)[1].sum())
+    s3 = int(encode_ecq(vals, ecb, 3)[1].sum())
     assert s5 <= s3  # adaptive tree is at least as good as its base
 
 
