@@ -71,8 +71,9 @@ scaling-smoke:
 
 ## Cluster failover gate: a 3-shard `pastri serve` fleet (replication 2)
 ## behind the gateway; client round-trip, SIGKILL one shard with zero
-## failed reads, hints drained on rejoin, zero payload bytes copied on
-## the forward path, and no leaked shm segments after teardown.
+## failed reads, hints drained on rejoin, hints recorded over a torn
+## hint-journal tail all replayed by the next gateway and drained, and
+## no leaked shm segments after teardown.
 cluster-smoke:
 	timeout 180 $(PY) scripts/cluster_smoke.py
 

@@ -14,8 +14,10 @@ acceptance criteria end to end:
   newer put, end byte-identical on both preference-list shards (keys
   written before the kill are left out: the killed shard's unspilled
   blobs are lost by contract);
-* the gateway forward path materialized no payload bytes
-  (``service.buffers.bytes_copied`` delta is 0);
+* a hint journal torn by a gateway killed mid-append loses no later
+  hint: a new gateway records hints over the torn tail (another shard
+  SIGKILLed), a third gateway replaying the journal owes every one of
+  them, and the shard's restart drains them to 0;
 * after teardown no shm segment survives: the in-process ledger is
   empty and ``/dev/shm`` gained no ``pastri-shm-*`` entries.
 
@@ -34,7 +36,6 @@ import numpy as np
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
-from repro import telemetry  # noqa: E402
 from repro.cluster import GatewayConfig, SubprocessFleet, gateway_in_thread  # noqa: E402
 from repro.parallel import shm  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
@@ -49,27 +50,82 @@ def _dev_shm_segments() -> set[str]:
     return set(glob.glob(f"/dev/shm/{shm.SEGMENT_PREFIX}*"))
 
 
-def _copied() -> int:
-    snap = telemetry.metrics_snapshot()
-    return snap.get("service.buffers.bytes_copied", {}).get("value", 0)
+def _start_gateway(fleet: SubprocessFleet, journal: str):
+    return gateway_in_thread(GatewayConfig(
+        shards=[(s.name, s.host, s.port) for s in fleet.specs],
+        replication=2,
+        hint_path=journal,
+        health_interval_s=0.2,
+        fail_after=1,
+    ))
+
+
+def _recovered(c: ServiceClient) -> bool:
+    """Wait until every shard is up and no hint is owed."""
+    deadline = time.monotonic() + RECOVER_DEADLINE_S
+    while time.monotonic() < deadline:
+        h = c.health()
+        if not h["shards_down"] and h["hints_pending"] == 0:
+            return True
+        time.sleep(0.2)
+    print(f"FAIL: fleet never recovered: {c.health()}", file=sys.stderr)
+    return False
+
+
+def _torn_journal_hints(fleet: SubprocessFleet, journal: str, rng) -> int | None:
+    """Tear the journal's tail, record hints over it through a new gateway,
+    then check that a third gateway owes them all and drains them when the
+    shard rejoins.  Returns the hint count, or None after a FAIL line."""
+    with open(journal, "a", encoding="utf-8") as fh:
+        fh.write('{"op":"hint","shard":"shard-0')  # a gateway killed mid-append
+    written = {}
+    handle = _start_gateway(fleet, journal)
+    try:
+        with ServiceClient(handle.host, handle.port) as c:
+            fleet.kill("shard-02")
+            hinted = 0
+            for i in range(N_BLOCKS):  # until a few puts were hinted
+                written[("torn", i)] = rng.normal(size=SHAPE)
+                c.put(("torn", i), written[("torn", i)])
+                hinted = c.health()["hints_pending"]
+                if hinted >= 3:
+                    break
+    finally:
+        handle.stop()
+    if not hinted:
+        print("FAIL: no hint recorded with shard-02 dead", file=sys.stderr)
+        return None
+    handle = _start_gateway(fleet, journal)
+    try:
+        with ServiceClient(handle.host, handle.port) as c:
+            replayed = c.health()["hints_pending"]
+            if replayed != hinted:
+                print(f"FAIL: the journal replays {replayed} of the {hinted} "
+                      f"hints recorded over its torn tail", file=sys.stderr)
+                return None
+            fleet.restart("shard-02")
+            if not _recovered(c):
+                return None
+            for key, data in written.items():
+                if np.max(np.abs(c.get(key).reshape(SHAPE) - data)) > EB:
+                    print(f"FAIL: bound violated for {key} after the drain",
+                          file=sys.stderr)
+                    return None
+    finally:
+        handle.stop()
+    return hinted
 
 
 def main() -> int:
     shm_baseline = _dev_shm_segments()
     tmp = tempfile.mkdtemp(prefix="pastri-cluster-smoke-")
+    journal = os.path.join(tmp, "hints.jsonl")
     rng = np.random.default_rng(7)
     blocks = {("blk", i): rng.normal(size=SHAPE) for i in range(N_BLOCKS)}
 
     fleet = SubprocessFleet(3, tmp, error_bound=EB)
     with fleet:
-        handle = gateway_in_thread(GatewayConfig(
-            shards=[(s.name, s.host, s.port) for s in fleet.specs],
-            replication=2,
-            hint_path=os.path.join(tmp, "hints.jsonl"),
-            health_interval_s=0.2,
-            fail_after=1,
-        ))
-        copied_before = _copied()
+        handle = _start_gateway(fleet, journal)
         try:
             with ServiceClient(handle.host, handle.port) as c:
                 # -- round-trip through the gateway ---------------------------
@@ -110,15 +166,7 @@ def main() -> int:
                 for key in rewritten:
                     blocks[key] = rng.normal(size=SHAPE)
                     c.put(key, blocks[key])
-                deadline = time.monotonic() + RECOVER_DEADLINE_S
-                while time.monotonic() < deadline:
-                    h = c.health()
-                    if not h["shards_down"] and h["hints_pending"] == 0:
-                        break
-                    time.sleep(0.2)
-                else:
-                    print(f"FAIL: fleet never recovered: {c.health()}",
-                          file=sys.stderr)
+                if not _recovered(c):
                     return 1
                 for key, data in blocks.items():
                     out = c.get(key).reshape(SHAPE)
@@ -126,7 +174,6 @@ def main() -> int:
                         print(f"FAIL: bound violated for {key} after rejoin",
                               file=sys.stderr)
                         return 1
-                copied_delta = _copied() - copied_before
                 # -- replicas converge: read each copy from its shard ---------
                 ring = handle.endpoint.ring
                 addrs = {s.name: (s.host, s.port) for s in fleet.specs}
@@ -143,11 +190,11 @@ def main() -> int:
                         return 1
         finally:
             handle.stop()
+        # -- a torn hint journal loses no later hint ----------------------
+        torn_hints = _torn_journal_hints(fleet, journal, rng)
+        if torn_hints is None:
+            return 1
 
-    if copied_delta != 0:
-        print(f"FAIL: gateway path copied {copied_delta} payload bytes",
-              file=sys.stderr)
-        return 1
     if shm.active_segments():
         print(f"FAIL: leaked shm segments: {shm.active_segments()}",
               file=sys.stderr)
@@ -161,7 +208,8 @@ def main() -> int:
         f"OK: 3-shard fleet R=2, {len(blocks)} blocks round-tripped, hard kill "
         f"survived with zero failed reads, {hinted} hints drained on rejoin, "
         f"{len(rewritten)} overwritten keys byte-identical on both replicas, "
-        f"0 payload bytes copied, zero leaked shm segments"
+        f"{torn_hints} hints recorded over a torn journal tail all replayed "
+        f"and drained, zero leaked shm segments"
     )
     return 0
 

@@ -13,8 +13,9 @@ the bytes read off the client socket are handed to the shard connection
 as a buffer-chain part (:func:`repro.service.protocol.encode_request_parts`),
 and a shard's response payload rides back to the client the same way via
 ``writelines``.  ``service.buffers.bytes_borrowed`` counts every relayed
-payload byte; ``bytes_copied`` stays at zero on the forward path — the
-same discipline (and telemetry) as the PR 7 data plane.
+payload byte, and ``tests/cluster/test_gateway.py::TestZeroCopy`` checks
+that each relayed ``store.get`` body leaves as the very buffer its shard
+connection returned.
 
 **Failure semantics.**  A health task pings every shard; ``fail_after``
 consecutive failures mark it down (forward-path failures count too, so a
@@ -53,9 +54,14 @@ from repro import telemetry
 from repro.cluster.hints import HintLog
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, key_bytes
 from repro.errors import ParameterError
-from repro.service import buffers, protocol
+from repro.service import protocol
 from repro.service.client import Connection
-from repro.service.endpoint import Endpoint, EndpointHandle, run_in_thread
+from repro.service.endpoint import (
+    BYTES_BORROWED,
+    Endpoint,
+    EndpointHandle,
+    run_in_thread,
+)
 
 __all__ = ["GatewayConfig", "ClusterGateway", "gateway_in_thread"]
 
@@ -320,7 +326,7 @@ class ClusterGateway(Endpoint):
                 continue
             result = rh.get("result", {})
             params = {"key": key, "n": result.get("n"), "dims": result.get("dims")}
-            buffers.count_borrowed(len(body) * max(len(targets), 1))
+            self._count(BYTES_BORROWED, len(body) * max(len(targets), 1))
             failed = []
             for target in targets:
                 try:
@@ -561,7 +567,7 @@ class ClusterGateway(Endpoint):
         async with self._key_lock(key) as kj:
             preferred, spares = self._put_targets(key)
             body = memoryview(payload)
-            buffers.count_borrowed(len(payload) * max(len(preferred), 1))
+            self._count(BYTES_BORROWED, len(payload) * max(len(preferred), 1))
             results = await asyncio.gather(
                 *(self._put_one(target, params, body) for target in preferred)
             )
@@ -647,7 +653,7 @@ class ClusterGateway(Endpoint):
                 self._note_success(target)
                 if attempts > 1:
                     self._count("cluster.failovers")
-                buffers.count_borrowed(len(body))
+                self._count(BYTES_BORROWED, len(body))
                 return protocol.encode_response_parts(
                     req_id, header.get("result", {}), memoryview(body),
                     route={"shard": target, "attempts": attempts},
@@ -680,7 +686,7 @@ class ClusterGateway(Endpoint):
                 req_id, "BUSY", "no live shards", retry_after_s=0.5
             )
         body = memoryview(payload)
-        buffers.count_borrowed(len(payload))
+        self._count(BYTES_BORROWED, len(payload))
         last_err: dict | None = None
         for attempt in range(len(live)):
             target = live[(self._rr + attempt) % len(live)]
@@ -696,7 +702,7 @@ class ClusterGateway(Endpoint):
                 self._rr += 1
             if header.get("ok"):
                 self._note_success(target)
-                buffers.count_borrowed(len(rbody))
+                self._count(BYTES_BORROWED, len(rbody))
                 return protocol.encode_response_parts(
                     req_id, header.get("result", {}), memoryview(rbody),
                     route={"shard": target, "attempts": attempt + 1},

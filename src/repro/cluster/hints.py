@@ -117,14 +117,19 @@ class HintLog:
         self._drains = 0
         self._replay_tail()
 
-    def _replay_tail(self) -> None:
-        """Merge records appended since ``_offset`` (ours or a peer's)."""
+    def _replay_tail(self) -> bool:
+        """Merge whole records appended since ``_offset`` (ours or a peer's).
+
+        Callers hold the flock, so a last line without its newline is a
+        record torn by a writer killed mid-append: ``_offset`` stays at
+        its start and this returns True.
+        """
         # readline loop, not iteration: iterating a text file disables
         # tell(), and the offset must stay trackable
         self._fh.seek(self._offset)
         while True:
             line = self._fh.readline()
-            if not line:
+            if not line.endswith("\n"):
                 break
             line = line.strip()
             if not line:
@@ -132,7 +137,7 @@ class HintLog:
             try:
                 rec = json.loads(line)
             except ValueError:
-                continue  # torn tail write from a killed gateway
+                continue  # a line garbled before torn tails were cut
             if rec.get("op") == "hint":
                 self._open.setdefault(rec["shard"], {})[
                     _kj(rec["key"])
@@ -142,7 +147,9 @@ class HintLog:
                 self._open.get(rec.get("shard"), {}).pop(
                     _kj(rec.get("key")), None
                 )
-        self._offset = self._fh.tell()
+        # records are ASCII (json.dumps escapes the rest): one char, one byte
+        self._offset = self._fh.tell() - len(line)
+        return bool(line)
 
     def _append(self, rec: dict) -> None:
         if self._fh is None:
@@ -151,7 +158,10 @@ class HintLog:
             self._reopen_if_replaced()
             # merge the peers' tail first: advancing the offset past
             # unreplayed peer records would lose them forever
-            self._replay_tail()
+            if self._replay_tail():
+                # cut the torn record, or this one would join its line
+                self._fh.seek(self._offset)
+                self._fh.truncate()
             self._fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
             self._fh.flush()
             if self.durable:

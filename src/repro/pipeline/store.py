@@ -89,6 +89,8 @@ _METRIC_NAMES = {
     "array_evictions": "store.tier.array.evictions",
 }
 
+#: header ``meta.role`` of a spill file; a container without it is not ours
+_SPILL_ROLE = "eri-store-spill"
 #: per-key cap on tracked successors in the access-sequence profile
 _PROFILE_FANOUT = 8
 #: hard cap on profiled keys; beyond it the profile restarts from empty
@@ -334,7 +336,7 @@ class ContainerBackend:
                 self._write_fh,
                 self._codec,
                 self._error_bound,
-                meta={"error_bound": self._error_bound, "role": "eri-store-spill"},
+                meta={"error_bound": self._error_bound, "role": _SPILL_ROLE},
                 fsync=self._fsync,
             )
         return self._writer
@@ -462,7 +464,7 @@ class ContainerBackend:
                 self._error_bound,
                 meta={
                     "error_bound": self._error_bound,
-                    "role": "eri-store-spill",
+                    "role": _SPILL_ROLE,
                 },
             ) as w:
                 for i, (key, f) in enumerate(self._ondisk.items()):
@@ -531,7 +533,9 @@ class ContainerBackend:
         ``pastri fsck`` uses, which keys intact frames from a torn index
         tail or the journal; only keyed frames are kept.  A file whose
         very header is torn holds nothing locatable; it is left for
-        :func:`_ensure_writer` to truncate.  Either way the survivors'
+        :func:`_ensure_writer` to truncate.  A container whose header does
+        not name it a spill file (a ``pastri pack`` output, another
+        store's snapshot) is refused untouched.  Otherwise the survivors'
         frames seed a resumed writer so the eventual clean close writes a
         footer covering them.
         """
@@ -542,6 +546,7 @@ class ContainerBackend:
             return  # no spill file: a genuinely fresh backend
         try:
             with open_container(self.path) as r:
+                meta = r.meta
                 frames = r.frames
                 end_of_frames = max([r.data_start, *(f.offset + f.length for f in frames)])
         except ReproError:
@@ -550,8 +555,14 @@ class ContainerBackend:
                     found = salvage_frames(fh, self.journal_path)
             except FormatError:
                 return  # torn header: nothing locatable
+            meta = found.header.get("meta", {})
             frames = found.entries.values()
             end_of_frames = found.walk.end_of_frames
+        if meta.get("role") != _SPILL_ROLE:
+            raise ParameterError(
+                f"spill path {self.path} holds a container this store did not "
+                f"write (role {meta.get('role')!r}); refusing to overwrite it"
+            )
         # key -> FrameInfo, last write wins
         live = {_revive_key(json.loads(f.key)): f for f in frames if f.key is not None}
         self._ondisk = live

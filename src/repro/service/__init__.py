@@ -7,14 +7,13 @@ integrals can be compressed centrally and fetched on demand — the
 producer/consumer split the paper's GAMESS deployment and the FPGA /
 hierarchical-matrix ERI backends in PAPERS.md all assume.
 
-Five modules:
+Four modules:
 
 * :mod:`repro.service.protocol` — the length-prefixed framed wire format
   (JSON header + raw binary payload) shared by both ends, with
-  writev-style ``encode_*_parts`` buffer chains and ``recv_into`` frame
-  reads for the zero-copy data plane;
-* :mod:`repro.service.buffers` — reusable growable payload buffers
-  (``service.buffers.*`` telemetry);
+  writev-style ``encode_*_parts`` buffer chains for the zero-copy data
+  plane and one set of frame checks behind the blocking and the asyncio
+  reader;
 * :mod:`repro.service.endpoint` — the frame-serving loop, error mapping,
   bounded stop and thread host that the server and the cluster gateway
   share;
@@ -23,8 +22,8 @@ Five modules:
   bounded-queue backpressure (BUSY replies, never unbounded buffering),
   per-request deadlines, and graceful drain on SIGTERM;
 * :mod:`repro.service.client` — sync and async clients with connection
-  reuse, a per-connection receive buffer (no per-request allocation on
-  the happy path), a multiplexed async connection, timeouts, and
+  reuse (each sync reply payload is read once, into what the call
+  returns), a multiplexed async connection, timeouts, and
   retry-with-exponential-backoff-and-jitter on BUSY and connection
   errors.
 
@@ -37,7 +36,6 @@ replication, hinted handoff — ``docs/CLUSTER.md``).
 
 from __future__ import annotations
 
-from repro.service.buffers import PayloadBuffer
 from repro.service.client import AsyncServiceClient, RetryPolicy, ServiceClient
 from repro.service.protocol import (
     MAGIC,
@@ -48,7 +46,6 @@ from repro.service.protocol import (
     encode_response_parts,
     read_frame,
     read_frame_async,
-    read_frame_socket,
 )
 from repro.service.server import CompressionServer, ServerConfig, serve_in_thread
 
@@ -61,8 +58,6 @@ __all__ = [
     "encode_error",
     "read_frame",
     "read_frame_async",
-    "read_frame_socket",
-    "PayloadBuffer",
     "CompressionServer",
     "ServerConfig",
     "serve_in_thread",

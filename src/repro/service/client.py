@@ -36,7 +36,6 @@ from repro.errors import (
     ServiceError,
 )
 from repro.service import protocol
-from repro.service.buffers import PayloadBuffer
 
 __all__ = ["RetryPolicy", "ServiceClient", "AsyncServiceClient", "Connection"]
 
@@ -85,7 +84,9 @@ class ServiceClient:
     ...     again = c.decompress(blob)
 
     The connection is opened lazily and re-opened transparently after a
-    failure; ``timeout`` bounds every socket operation.
+    failure; ``timeout`` bounds every socket operation.  Each reply
+    payload is read once, into the ``bytes`` a call returns or the
+    (read-only) array it wraps.
     """
 
     def __init__(
@@ -102,11 +103,8 @@ class ServiceClient:
         self.retry = retry or RetryPolicy()
         self.max_payload = max_payload
         self._sock: socket.socket | None = None
+        self._rfile = None  # buffered reader over ``_sock``
         self._next_id = 0
-        # One growable receive buffer for the connection's lifetime:
-        # responses land in it via recv_into, so the steady-state happy
-        # path does zero per-request allocation (see buffers.PayloadBuffer).
-        self._recv_buf = PayloadBuffer()
 
     # -- connection management -------------------------------------------------
 
@@ -115,16 +113,17 @@ class ServiceClient:
             return
         sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
+        self._sock, self._rfile = sock, sock.makefile("rb")
 
     def close(self) -> None:
         """Close the connection (the client can be reused; it reconnects)."""
         if self._sock is not None:
             try:
                 self._sock.close()
+                self._rfile.close()  # the last reference: closes the socket
             except OSError:
                 pass
-            self._sock = None
+            self._sock = self._rfile = None
 
     def _send_parts(self, parts: list) -> None:
         """writev-style send: header prefix + payload go out as one
@@ -148,9 +147,8 @@ class ServiceClient:
     # -- request plumbing ------------------------------------------------------
 
     def _roundtrip_once(self, op: str, params: dict, payload
-                        ) -> tuple[dict, memoryview]:
-        """One request/response; the returned body is a memoryview into
-        the client's reusable receive buffer — valid until the next call."""
+                        ) -> tuple[dict, bytes]:
+        """One request/response; returns the result and the reply payload."""
         self._connect()
         self._next_id += 1
         req_id = self._next_id
@@ -158,9 +156,7 @@ class ServiceClient:
             self._send_parts(
                 protocol.encode_request_parts(op, req_id, params, payload)
             )
-            frame = protocol.read_frame_socket(
-                self._sock, self._recv_buf, self.max_payload
-            )
+            frame = protocol.read_frame(self._rfile, self.max_payload)
         except (OSError, ProtocolError):
             # a framing error leaves the rest of the reply unread: the byte
             # stream is out of step, so the next call must reconnect
@@ -180,7 +176,7 @@ class ServiceClient:
         return result, body
 
     def _roundtrip(self, op: str, params: dict | None = None,
-                   payload=b"") -> tuple[dict, memoryview]:
+                   payload=b"") -> tuple[dict, bytes]:
         params = params or {}
         attempt = 0
         while True:
@@ -201,14 +197,13 @@ class ServiceClient:
         ``eb``."""
         params, payload = _array_request(data, dims, eb=float(eb))
         result, body = self._roundtrip("compress", params, payload)
-        # the view aliases the reusable receive buffer; the blob escapes
-        # this call, so materialize it (the one copy on this path)
-        return bytes(body), result
+        return body, result
 
     def decompress(self, blob: bytes) -> np.ndarray:
-        """Decompress a codec blob remotely; returns the float64 array."""
+        """Decompress a codec blob remotely; returns a read-only float64
+        array over the reply payload."""
         result, body = self._roundtrip("decompress", {}, blob)
-        return protocol.payload_to_array(body, result.get("n"))
+        return protocol.payload_to_array(body, result.get("n"), copy=False)
 
     def put(self, key, block: np.ndarray, dims=None) -> dict:
         """Store one block under ``key`` (compressed server-side at the
@@ -218,9 +213,10 @@ class ServiceClient:
         return result
 
     def get(self, key) -> np.ndarray:
-        """Fetch (decompress) the block stored under ``key``."""
+        """Fetch (decompress) the block stored under ``key``; a read-only
+        array over the reply payload."""
         result, body = self._roundtrip("store.get", {"key": key})
-        return protocol.payload_to_array(body, result.get("n"))
+        return protocol.payload_to_array(body, result.get("n"), copy=False)
 
     def stats(self) -> dict:
         """The server store's :class:`StoreStats` as a dict."""
@@ -261,12 +257,10 @@ class ServiceClient:
              ) -> tuple[dict, bytes]:
         """Raw escape hatch: one op round-trip, retries included.
 
-        Returns ``(result, payload_bytes)`` — the payload is materialized
-        (it escapes the reusable receive buffer).  The cluster CLI and
-        tests use this for ops without a dedicated method.
+        Returns ``(result, payload_bytes)``.  The cluster CLI and tests use
+        this for ops without a dedicated method.
         """
-        result, body = self._roundtrip(op, params, payload)
-        return result, bytes(body)
+        return self._roundtrip(op, params, payload)
 
 
 class Connection:

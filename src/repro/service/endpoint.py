@@ -34,11 +34,17 @@ from repro.errors import (
 from repro.service import protocol
 from repro.telemetry import REGISTRY as _METRICS
 
-__all__ = ["HANGUP_GRACE_S", "Endpoint", "EndpointHandle", "hang_up", "run_in_thread"]
+__all__ = [
+    "BYTES_BORROWED", "HANGUP_GRACE_S", "Endpoint", "EndpointHandle", "hang_up",
+    "run_in_thread",
+]
 
 #: seconds a stopping endpoint gives admitted requests to reply, and then
 #: hung-up peers to take their last replies, before it resets what is left
 HANGUP_GRACE_S = 5.0
+#: counter of payload bytes a role serves or relays from a buffer it
+#: already holds (a request, a reply body, a decoded array), uncopied
+BYTES_BORROWED = "service.buffers.bytes_borrowed"
 
 
 async def hang_up(conns: dict[asyncio.StreamWriter, asyncio.Task]) -> None:

@@ -10,6 +10,10 @@ little-endian array bytes on the way in, codec blob bytes on the way out)
 so bulk data never round-trips through JSON.  Both sides read with hard
 caps — a declared length beyond the cap is rejected *before* any
 allocation, so a malicious or corrupt peer cannot make either end balloon.
+The two readers, :func:`read_frame` (blocking files) and
+:func:`read_frame_async` (asyncio streams), only move bytes: one set of
+checks decides what a frame holds, so both refuse the same bytes with the
+same message.
 
 Requests look like ``{"op": "compress", "id": 7, "params": {...}}``;
 responses echo the id as ``{"ok": true, "id": 7, "result": {...}}`` or
@@ -68,7 +72,6 @@ __all__ = [
     "encode_error",
     "read_frame",
     "read_frame_async",
-    "read_frame_socket",
     "raise_for_error",
     "array_to_payload",
     "array_to_view",
@@ -95,6 +98,8 @@ ERROR_CODES = (
 
 _HDR_LEN = struct.Struct("<I")
 _PAY_LEN = struct.Struct("<Q")
+#: magic + header length: the fixed start of every frame
+_PREFIX_LEN = len(MAGIC) + _HDR_LEN.size
 
 
 def encode_frame_parts(header: dict, payload=b"") -> list:
@@ -173,104 +178,70 @@ def encode_error(req_id: int | None, code: str, message: str,
     return encode_frame(header)
 
 
-def _parse_header(raw: bytes) -> dict:
+def _header_block_length(prefix: bytes) -> int:
+    """Check a frame prefix (magic + header length); returns the length of
+    the block after it: the header JSON and the u64 payload length."""
+    if prefix[:4] != MAGIC:
+        raise ProtocolError(f"bad frame magic {prefix[:4]!r}")
+    (hdr_len,) = _HDR_LEN.unpack(prefix[4:])
+    if hdr_len > MAX_HEADER_BYTES:
+        raise ProtocolError(f"declared header length {hdr_len} exceeds cap")
+    return hdr_len + _PAY_LEN.size
+
+
+def _parse_header_block(block: bytes, max_payload: int) -> tuple[dict, int]:
+    """Decode a header block into the header object and the payload length."""
     try:
-        header = json.loads(raw.decode("utf-8"))
+        header = json.loads(str(memoryview(block)[:-_PAY_LEN.size], "utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"unparseable frame header: {exc}") from exc
     if not isinstance(header, dict):
         raise ProtocolError("frame header must be a JSON object")
-    return header
+    (plen,) = _PAY_LEN.unpack_from(block, len(block) - _PAY_LEN.size)
+    if plen > max_payload:
+        raise ProtocolError(
+            f"declared payload length {plen} exceeds cap {max_payload}"
+        )
+    return header, plen
+
+
+def _torn(part: str) -> ProtocolError:
+    return ProtocolError(f"connection closed mid-frame (short {part})")
+
+
+def _read_exactly(fh: BinaryIO, n: int, part: str) -> bytes:
+    data = fh.read(n)
+    if len(data) < n:
+        raise _torn(part)
+    return data
 
 
 def read_frame(fh: BinaryIO, max_payload: int = DEFAULT_MAX_PAYLOAD
                ) -> tuple[dict, bytes] | None:
-    """Read one frame from a blocking file-like socket; ``None`` on clean EOF.
+    """Read one frame from a buffered binary file; ``None`` on clean EOF.
 
-    A clean EOF is 0 bytes exactly at a frame boundary; anything partial or
-    malformed raises :class:`ProtocolError`.
+    ``fh`` is a file whose ``read(n)`` returns fewer than ``n`` bytes only
+    at EOF, such as ``sock.makefile("rb")`` or :class:`io.BytesIO`.  A
+    clean EOF is 0 bytes exactly at a frame boundary; anything partial or
+    malformed raises :class:`ProtocolError`.  The payload is read once,
+    straight into the ``bytes`` returned.
     """
-    head = fh.read(len(MAGIC) + 4)
-    if not head:
+    prefix = fh.read(_PREFIX_LEN)
+    if not prefix:
         return None
-    if len(head) != len(MAGIC) + 4:
-        raise ProtocolError("connection closed mid-frame (short prefix)")
-    if head[:4] != MAGIC:
-        raise ProtocolError(f"bad frame magic {head[:4]!r}")
-    (hdr_len,) = _HDR_LEN.unpack(head[4:])
-    if hdr_len > MAX_HEADER_BYTES:
-        raise ProtocolError(f"declared header length {hdr_len} exceeds cap")
-    raw = fh.read(hdr_len)
-    if len(raw) != hdr_len:
-        raise ProtocolError("connection closed mid-frame (short header)")
-    header = _parse_header(raw)
-    plen_raw = fh.read(8)
-    if len(plen_raw) != 8:
-        raise ProtocolError("connection closed mid-frame (short payload length)")
-    (plen,) = _PAY_LEN.unpack(plen_raw)
-    if plen > max_payload:
-        raise ProtocolError(
-            f"declared payload length {plen} exceeds cap {max_payload}"
-        )
-    payload = b""
-    if plen:
-        chunks = []
-        remaining = plen
-        while remaining:
-            chunk = fh.read(remaining)
-            if not chunk:
-                raise ProtocolError("connection closed mid-frame (short payload)")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        payload = b"".join(chunks)
-    return header, payload
+    if len(prefix) < _PREFIX_LEN:
+        raise _torn("prefix")
+    block = _read_exactly(fh, _header_block_length(prefix), "header")
+    header, plen = _parse_header_block(block, max_payload)
+    return header, _read_exactly(fh, plen, "payload")
 
 
-def read_frame_socket(sock, buf, max_payload: int = DEFAULT_MAX_PAYLOAD
-                      ) -> tuple[dict, memoryview] | None:
-    """Read one frame from a raw socket into a reusable buffer.
-
-    ``buf`` is a :class:`repro.service.buffers.PayloadBuffer` the
-    connection owns; the payload lands in it via ``recv_into`` and the
-    returned :class:`memoryview` aliases it — the caller must consume (or
-    copy) the view before the next read.  Steady-state traffic therefore
-    allocates nothing per frame beyond the small header objects.
-    ``None`` on clean EOF at a frame boundary.
-    """
-    prefix_len = len(MAGIC) + 4
+async def _read_exactly_async(reader: asyncio.StreamReader, n: int,
+                              part: str) -> bytes:
     try:
-        first = sock.recv(prefix_len)
-    except InterruptedError:  # pragma: no cover
-        first = b""
-    if not first:
-        return None
-    while len(first) < prefix_len:
-        more = sock.recv(prefix_len - len(first))
-        if not more:
-            raise ProtocolError("connection closed mid-frame (short prefix)")
-        first += more
-    if first[:4] != MAGIC:
-        raise ProtocolError(f"bad frame magic {first[:4]!r}")
-    (hdr_len,) = _HDR_LEN.unpack(first[4:])
-    if hdr_len > MAX_HEADER_BYTES:
-        raise ProtocolError(f"declared header length {hdr_len} exceeds cap")
-    try:
-        raw = buf.recv(sock, hdr_len + 8) if hdr_len else buf.recv(sock, 8)
-    except ConnectionError as exc:
-        raise ProtocolError("connection closed mid-frame (short header)") from exc
-    header = _parse_header(bytes(raw[:hdr_len]))
-    (plen,) = _PAY_LEN.unpack(raw[hdr_len:hdr_len + 8])
-    if plen > max_payload:
-        raise ProtocolError(
-            f"declared payload length {plen} exceeds cap {max_payload}"
-        )
-    if not plen:
-        return header, memoryview(b"")
-    try:
-        payload = buf.recv(sock, plen)
-    except ConnectionError as exc:
-        raise ProtocolError("connection closed mid-frame (short payload)") from exc
-    return header, payload
+        return await reader.readexactly(n)
+    except asyncio.IncompleteReadError as exc:
+        raise _torn(part) from exc
 
 
 async def read_frame_async(reader: asyncio.StreamReader,
@@ -278,28 +249,14 @@ async def read_frame_async(reader: asyncio.StreamReader,
                            ) -> tuple[dict, bytes] | None:
     """Asyncio twin of :func:`read_frame`; ``None`` on clean EOF."""
     try:
-        head = await reader.readexactly(len(MAGIC) + 4)
+        prefix = await reader.readexactly(_PREFIX_LEN)
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None
-        raise ProtocolError("connection closed mid-frame (short prefix)") from exc
-    if head[:4] != MAGIC:
-        raise ProtocolError(f"bad frame magic {head[:4]!r}")
-    (hdr_len,) = _HDR_LEN.unpack(head[4:])
-    if hdr_len > MAX_HEADER_BYTES:
-        raise ProtocolError(f"declared header length {hdr_len} exceeds cap")
-    try:
-        raw = await reader.readexactly(hdr_len)
-        header = _parse_header(raw)
-        (plen,) = _PAY_LEN.unpack(await reader.readexactly(8))
-        if plen > max_payload:
-            raise ProtocolError(
-                f"declared payload length {plen} exceeds cap {max_payload}"
-            )
-        payload = await reader.readexactly(plen) if plen else b""
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError("connection closed mid-frame") from exc
-    return header, payload
+        raise _torn("prefix") from exc
+    block = await _read_exactly_async(reader, _header_block_length(prefix), "header")
+    header, plen = _parse_header_block(block, max_payload)
+    return header, await _read_exactly_async(reader, plen, "payload")
 
 
 def raise_for_error(header: dict) -> dict:
@@ -349,11 +306,9 @@ def payload_to_array(payload, n: int | None = None, copy: bool = True
                      ) -> np.ndarray:
     """Rebuild a float64 array from wire bytes, validating the count.
 
-    ``copy=False`` borrows the payload's memory (read-only array) instead
-    of materializing — safe whenever the backing buffer outlives the
-    array or the consumer only reads once (the compress path).  A
-    borrowed view of a *reused* receive buffer must be consumed before
-    the next frame lands.
+    ``copy=False`` borrows the payload's memory instead of materializing:
+    the array is read-only when the payload is ``bytes``, and keeps the
+    payload alive.
     """
     nbytes = payload.nbytes if isinstance(payload, memoryview) else len(payload)
     if nbytes % 8:

@@ -51,8 +51,13 @@ from repro.pipeline.store import (
     ContainerBackend,
     _revive_key,
 )
-from repro.service import buffers, protocol
-from repro.service.endpoint import Endpoint, EndpointHandle, run_in_thread
+from repro.service import protocol
+from repro.service.endpoint import (
+    BYTES_BORROWED,
+    Endpoint,
+    EndpointHandle,
+    run_in_thread,
+)
 from repro.telemetry import REGISTRY as _METRICS
 from repro.telemetry.spans import adopt_spans
 
@@ -308,7 +313,7 @@ class CompressionServer(Endpoint):
     def _do_decompress(self, req_id, params: dict, payload: bytes) -> list:
         out = self.codec.decompress(payload)
         body, n = protocol.array_to_view(out)
-        buffers.count_borrowed(body.nbytes)
+        self._count(BYTES_BORROWED, body.nbytes)
         return protocol.encode_response_parts(req_id, {"n": n}, body)
 
     def _do_store_put(self, req_id, params: dict, payload: bytes) -> bytes:
@@ -317,7 +322,7 @@ class CompressionServer(Endpoint):
         # Borrow, don't copy: the store compresses the block without
         # retaining it, and ``payload`` outlives the call.
         data = protocol.payload_to_array(payload, params.get("n"), copy=False)
-        buffers.count_borrowed(data.nbytes)
+        self._count(BYTES_BORROWED, data.nbytes)
         key = _revive_key(params["key"])
         self.store.put(key, data, dims=params.get("dims"))
         return protocol.encode_response(req_id, {"stored": True, "n": int(data.size)})
@@ -328,7 +333,7 @@ class CompressionServer(Endpoint):
         key = _revive_key(params["key"])
         out = self.store.get(key)
         body, n = protocol.array_to_view(out)
-        buffers.count_borrowed(body.nbytes)
+        self._count(BYTES_BORROWED, body.nbytes)
         return protocol.encode_response_parts(req_id, {"n": n}, body)
 
     def _do_store_put_raw(self, req_id, params: dict, payload: bytes) -> bytes:
@@ -362,7 +367,7 @@ class CompressionServer(Endpoint):
             raise ParameterError("store.get_raw requires a 'key' param")
         key = _revive_key(params["key"])
         blob, nbytes, dims = self.store.get_blob(key)
-        buffers.count_borrowed(len(blob))
+        self._count(BYTES_BORROWED, len(blob))
         return protocol.encode_response_parts(
             req_id,
             {"n": nbytes // 8, "dims": None if dims is None else list(dims)},
@@ -376,7 +381,7 @@ class CompressionServer(Endpoint):
         # Borrowed view of the request payload (kept alive by the request
         # object until the batch runs) — the kernels only read it.
         data = protocol.payload_to_array(payload, params.get("n"), copy=False)
-        buffers.count_borrowed(data.nbytes)
+        self._count(BYTES_BORROWED, data.nbytes)
         if data.size == 0:
             raise ParameterError("cannot compress an empty array")
         future = asyncio.get_running_loop().create_future()

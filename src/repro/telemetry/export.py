@@ -185,7 +185,6 @@ def format_counter_tree(values: dict, indent: int = 0, width: int = 44) -> str:
         service
           buffers
             bytes_borrowed                     1048576
-            bytes_copied                             0
           requests                                  42
 
     The flat-dict formatting this replaces printed every dotted name in

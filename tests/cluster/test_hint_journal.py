@@ -61,7 +61,12 @@ class TestDurability:
             fh.write('{"op": "hint", "shard": "shard-0')  # killed mid-write
         revived = HintLog(path)
         assert [k for k, _ in revived.pending("shard-01")] == [["blk", 1]]
+        # the next record must not land on the end of the torn line
+        revived.record("shard-01", ["blk", 2], "shard-02")
         revived.close()
+        again = HintLog(path)
+        assert [k for k, _ in again.pending("shard-01")] == [["blk", 1], ["blk", 2]]
+        again.close()
 
 
 class _Kill(Exception):

@@ -1,7 +1,9 @@
 """Backend-specific store behavior: spilling, persistence, hot caches."""
 
 import gc
+import hashlib
 import json
+import os
 import weakref
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from repro.core import PaSTRICompressor
 from repro.errors import ParameterError
+from repro.parallel import parallel_compress_to_container
 from repro.pipeline import CompressedERIStore, ContainerBackend, MemoryBackend
 from repro.streamio import open_container
 from tests.conftest import make_patterned_stream
@@ -189,6 +192,28 @@ def test_load_rejects_plain_containers(tmp_path, rng):
     compress_dataset_to_file([np.zeros(1296)], codec(), EB, path)
     with pytest.raises(ParameterError, match="error bound"):
         CompressedERIStore.load(path)
+
+
+@pytest.mark.parametrize("footer", [True, False], ids=["closed", "footerless"])
+def test_spill_path_holding_a_foreign_container_is_refused(tmp_path, rng, footer):
+    """A ``pastri pack`` output at the spill path is not the store's to
+    resume: the store refuses it before touching a byte."""
+    packed = tmp_path / "packed.pstf"
+    path = str(packed)
+    data = make_patterned_stream(rng, n_blocks=4, zero_blocks=0)
+    parallel_compress_to_container(
+        "pastri", data, EB, 1, 1296, path,
+        codec_kwargs={"dims": (6, 6, 6, 6)}, n_frames=4,
+    )
+    with open_container(path) as r:
+        assert len(r.frames) == 4
+        end_of_frames = max(f.offset + f.length for f in r.frames)
+    if not footer:
+        os.truncate(path, end_of_frames)  # a writer killed before its index
+    digest = hashlib.sha256(packed.read_bytes()).hexdigest()
+    with pytest.raises(ParameterError, match="spill path .* did not write"):
+        CompressedERIStore(codec(), EB, backend=ContainerBackend(path, 1024))
+    assert hashlib.sha256(packed.read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

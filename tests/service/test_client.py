@@ -240,50 +240,3 @@ class TestFramingErrors:
 
         assert asyncio.run(main()) == ["ok"] * 3
 
-
-class TestBufferReuse:
-    """The sync client owns one growable receive buffer per connection.
-
-    After warm-up, steady-state round-trips must not allocate: the same
-    ``PayloadBuffer`` object (and the same backing ``bytearray``) serves
-    every response.
-    """
-
-    def test_recv_buffer_object_stable_across_requests(self):
-        cfg = ServerConfig(codec_kwargs={"dims": [1, 1, 2, 2]}, error_bound=EB)
-        h = serve_in_thread(cfg)
-        data = np.linspace(0.0, 1.0, 4096)
-        try:
-            with ServiceClient(h.host, h.port) as c:
-                blob, _ = c.compress(data, EB)  # warm-up
-                buf = c._recv_buf
-                backing = buf._buf
-                cap = buf.capacity
-                for _ in range(5):
-                    np.testing.assert_allclose(c.decompress(blob), data, atol=EB)
-                    c.health()
-                assert c._recv_buf is buf
-                assert c._recv_buf._buf is backing  # no regrow after warm-up
-                assert c._recv_buf.capacity == cap
-        finally:
-            h.stop()
-
-    def test_no_per_request_allocation_telemetry(self):
-        cfg = ServerConfig(codec_kwargs={"dims": [1, 1, 2, 2]}, error_bound=EB)
-        h = serve_in_thread(cfg)
-        data = np.linspace(0.0, 1.0, 2048)
-        try:
-            with ServiceClient(h.host, h.port) as c:
-                blob, _ = c.compress(data, EB)
-                c.decompress(blob)  # reach the high-water mark
-                telemetry.enable()
-                telemetry.reset()
-                for _ in range(10):
-                    c.decompress(blob)
-                snap = telemetry.metrics_snapshot()
-                grows = snap.get("service.buffers.grows", {}).get("value", 0)
-                reuses = snap.get("service.buffers.reuses", {}).get("value", 0)
-                assert grows == 0  # steady state: zero buffer growth
-                assert reuses >= 10
-        finally:
-            h.stop()

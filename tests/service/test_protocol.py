@@ -1,6 +1,8 @@
 """Wire-format unit tests: framing, caps, error mapping, array payloads."""
 
+import asyncio
 import io
+import socket
 
 import numpy as np
 import pytest
@@ -98,6 +100,94 @@ class TestFraming:
         frame += (0).to_bytes(8, "little")
         with pytest.raises(ProtocolError, match="unparseable"):
             _roundtrip(frame)
+
+
+def _with_header(raw: bytes) -> bytes:
+    """A frame whose header block holds ``raw`` and no payload."""
+    return protocol.MAGIC + len(raw).to_bytes(4, "little") + raw + bytes(8)
+
+
+def _with_payload_length(frame: bytes, plen: int) -> bytes:
+    """``frame`` with its declared payload length patched to ``plen``."""
+    off = 8 + int.from_bytes(frame[4:8], "little")
+    return frame[:off] + plen.to_bytes(8, "little") + frame[off + 8:]
+
+
+_HEALTH = protocol.encode_request("health", 1)
+_PUT = protocol.encode_request("store.put", 3, {"key": "k"}, b"x" * 100)
+
+#: case -> (wire bytes, the frames read before EOF or the error message)
+FRAMING_CASES = {
+    "clean EOF": (b"", []),
+    "two frames": (_HEALTH + _PUT, [
+        ({"op": "health", "id": 1, "params": {}}, b""),
+        ({"op": "store.put", "id": 3, "params": {"key": "k"}}, b"x" * 100),
+    ]),
+    "bad magic": (b"JUNK" + _HEALTH[4:], "bad frame magic b'JUNK'"),
+    "short prefix": (protocol.MAGIC + b"\x01",
+                     "connection closed mid-frame (short prefix)"),
+    "short header": (_HEALTH[:-3], "connection closed mid-frame (short header)"),
+    "short payload": (_PUT[:-10], "connection closed mid-frame (short payload)"),
+    "header over cap": (
+        protocol.MAGIC + (protocol.MAX_HEADER_BYTES + 1).to_bytes(4, "little"),
+        f"declared header length {protocol.MAX_HEADER_BYTES + 1} exceeds cap",
+    ),
+    "payload over cap": (
+        _with_payload_length(_PUT, protocol.DEFAULT_MAX_PAYLOAD + 1),
+        f"declared payload length {protocol.DEFAULT_MAX_PAYLOAD + 1} exceeds cap "
+        f"{protocol.DEFAULT_MAX_PAYLOAD}",
+    ),
+    "non-object header": (_with_header(b'["not", "an", "object"]'),
+                          "frame header must be a JSON object"),
+    "non-UTF-8 header": (
+        _with_header(b"\xff\xfe{}"),
+        "unparseable frame header: 'utf-8' codec can't decode byte 0xff in "
+        "position 0: invalid start byte",
+    ),
+}
+
+
+def _read_socket_file(raw: bytes) -> list:
+    """Every frame :func:`protocol.read_frame` reads from ``raw`` sent
+    over a socket, up to EOF."""
+    ours, peer = socket.socketpair()
+    with ours, peer:
+        peer.sendall(raw)
+        peer.shutdown(socket.SHUT_WR)
+        with ours.makefile("rb") as fh:
+            return list(iter(lambda: protocol.read_frame(fh), None))
+
+
+def _read_stream_reader(raw: bytes) -> list:
+    """Every frame :func:`protocol.read_frame_async` reads from ``raw``
+    fed to an :class:`asyncio.StreamReader`, up to EOF."""
+    async def main():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        frames = []
+        while (frame := await protocol.read_frame_async(reader)) is not None:
+            frames.append(frame)
+        return frames
+
+    return asyncio.run(main())
+
+
+class TestFramingTable:
+    """The blocking and the asyncio reader agree on every framing case:
+    the same frames, or a :class:`ProtocolError` with the same message."""
+
+    @pytest.mark.parametrize("read", [_read_socket_file, _read_stream_reader],
+                             ids=["read_frame", "read_frame_async"])
+    @pytest.mark.parametrize("case", list(FRAMING_CASES))
+    def test_reader_matches_the_table(self, case, read):
+        raw, expected = FRAMING_CASES[case]
+        if isinstance(expected, list):
+            assert read(raw) == expected
+        else:
+            with pytest.raises(ProtocolError) as err:
+                read(raw)
+            assert str(err.value) == expected
 
 
 class TestErrorMapping:
