@@ -116,9 +116,8 @@ def _torn_journal_hints(fleet: SubprocessFleet, journal: str, rng) -> int | None
     return hinted
 
 
-def main() -> int:
+def _smoke(tmp: str) -> int:
     shm_baseline = _dev_shm_segments()
-    tmp = tempfile.mkdtemp(prefix="pastri-cluster-smoke-")
     journal = os.path.join(tmp, "hints.jsonl")
     rng = np.random.default_rng(7)
     blocks = {("blk", i): rng.normal(size=SHAPE) for i in range(N_BLOCKS)}
@@ -212,6 +211,13 @@ def main() -> int:
         f"and drained, zero leaked shm segments"
     )
     return 0
+
+
+def main() -> int:
+    # Opened outside ``with fleet:`` so the shards stop before their
+    # directory goes; it goes on a failure too.
+    with tempfile.TemporaryDirectory(prefix="pastri-cluster-smoke-") as tmp:
+        return _smoke(tmp)
 
 
 if __name__ == "__main__":

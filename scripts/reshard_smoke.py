@@ -80,9 +80,8 @@ class _Hammer:
         self._thread.join(30)
 
 
-def main() -> int:
+def _smoke(tmp: str) -> int:
     shm_baseline = _dev_shm_segments()
-    tmp = tempfile.mkdtemp(prefix="pastri-reshard-smoke-")
     rng = np.random.default_rng(11)
     blocks = {("blk", i): rng.normal(size=SHAPE) for i in range(N_BLOCKS)}
 
@@ -189,6 +188,13 @@ def main() -> int:
         f"byte-identical, zero leaked shm segments"
     )
     return 0
+
+
+def main() -> int:
+    # Opened outside ``with fleet:`` so the shards stop before their
+    # directory goes; it goes on a failure too.
+    with tempfile.TemporaryDirectory(prefix="pastri-reshard-smoke-") as tmp:
+        return _smoke(tmp)
 
 
 if __name__ == "__main__":

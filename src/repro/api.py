@@ -13,11 +13,13 @@ Every compressor in this package implements the :class:`Codec` protocol:
 
 A tiny registry maps codec names (``"pastri"``, ``"sz"``, ``"zfp"``,
 ``"lowrank"``, ``"deflate"``, ``"fpc"``) to factories so harness code can
-sweep codecs by name.
+sweep codecs by name.  A built-in codec's module is imported on the first
+lookup of its name, so a process loads only the codecs it uses.
 """
 
 from __future__ import annotations
 
+import importlib
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -43,10 +45,30 @@ class Codec(Protocol):
 
 _REGISTRY: dict[str, Callable[..., Codec]] = {}
 
+#: The built-in codecs: registry name -> the module that registers it when
+#: imported.
+_BUILTIN_CODECS = {
+    "pastri": "repro.core.compressor",
+    "sz": "repro.sz.compressor",
+    "zfp": "repro.zfp.compressor",
+    "lowrank": "repro.lowrank.codec",
+    "deflate": "repro.lossless.deflate",
+    "fpc": "repro.lossless.fpc",
+}
+
+
+def _load_builtin(key: str) -> None:
+    module = _BUILTIN_CODECS.get(key)
+    if module is not None:
+        importlib.import_module(module)
+
 
 def register_codec(name: str, factory: Callable[..., Codec]) -> None:
     """Register a codec factory under ``name`` (lower-case)."""
-    _REGISTRY[name.lower()] = factory
+    key = name.lower()
+    # A built-in registering later must not replace this factory.
+    _load_builtin(key)
+    _REGISTRY[key] = factory
 
 
 def get_codec(name: str, **kwargs) -> Codec:
@@ -54,17 +76,21 @@ def get_codec(name: str, **kwargs) -> Codec:
 
     >>> codec = get_codec("pastri", dims=(6, 6, 6, 6))
     """
+    key = name.lower()
+    _load_builtin(key)
     try:
-        factory = _REGISTRY[name.lower()]
+        factory = _REGISTRY[key]
     except KeyError:
         raise ParameterError(
-            f"unknown codec {name!r}; available: {sorted(_REGISTRY)}"
+            f"unknown codec {name!r}; available: {available_codecs()}"
         ) from None
     return factory(**kwargs)
 
 
 def available_codecs() -> list[str]:
-    """Names of all registered codecs."""
+    """Names of all registered codecs, the built-in ones included."""
+    for module in _BUILTIN_CODECS.values():
+        importlib.import_module(module)
     return sorted(_REGISTRY)
 
 

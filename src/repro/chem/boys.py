@@ -13,7 +13,6 @@ series for small ``T`` where the closed form loses precision.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 #: Below this T the direct formula divides two near-zero quantities; the
 #: truncated Taylor series is exact to double precision there.
@@ -47,6 +46,8 @@ def boys(m_max: int, T: np.ndarray) -> np.ndarray:
             )
     big = ~small
     if big.any():
+        from scipy import special  # here, not at the top: only integral work loads SciPy
+
         Tb = T[big]  # flat regardless of T's shape
         a = (np.arange(m_max + 1, dtype=np.float64) + 0.5)[:, None]
         vals = special.gamma(a) * special.gammainc(a, Tb[None, :]) / (2.0 * Tb[None, :] ** a)

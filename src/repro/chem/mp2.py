@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from repro.chem.oneelectron import build_one_electron_matrices
 from repro.chem.scf import RHFSolver, SCFResult
@@ -65,6 +64,8 @@ def mp2_energy(solver: RHFSolver, scf: SCFResult | None = None) -> MP2Result:
 
 
 def _mp2_energy(solver: RHFSolver, scf: SCFResult) -> MP2Result:
+    from scipy import linalg
+
     # Recover the MO coefficients for the converged density: diagonalise
     # the converged Fock matrix once more.
     S, T, V = build_one_electron_matrices(solver.basis)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from repro.chem.basis import BasisSet
 from repro.chem.eri import ERIEngine
@@ -132,6 +131,8 @@ class RHFSolver:
         diis: bool,
         diis_depth: int,
     ) -> SCFResult:
+        from scipy import linalg
+
         S, T, V = build_one_electron_matrices(self.basis)
         hcore = T + V
         eri = self.eri_tensor()

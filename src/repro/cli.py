@@ -59,7 +59,6 @@ import sys
 import numpy as np
 
 from repro.api import resolve_error_bound
-from repro.chem.dataset import ERIDataset
 from repro.core import PaSTRICompressor
 from repro.core import header as fmt
 from repro.errors import ReproError
@@ -69,6 +68,8 @@ _PSTF_MAGIC = b"PSTF"
 
 def _load_input(path: str, config: str | None):
     if path.endswith(".npz"):
+        from repro.chem.dataset import ERIDataset
+
         ds = ERIDataset.load(path)
         return ds.data, ds.spec.dims
     data = np.ascontiguousarray(np.load(path), dtype=np.float64).ravel()
@@ -310,6 +311,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_assess(args: argparse.Namespace) -> int:
     """Handle ``pastri assess``: Z-Checker-style report."""
     from repro.api import get_codec
+    from repro.chem.dataset import ERIDataset
     from repro.metrics import assess
 
     ds = ERIDataset.load(args.input)
