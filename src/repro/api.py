@@ -11,6 +11,10 @@ Every compressor in this package implements the :class:`Codec` protocol:
     ``max |data - decompressed| <= error_bound`` for the error-bounded
     codecs and exact equality for the lossless ones.
 
+Codecs may also offer the batch forms ``compress_many(arrays,
+error_bound)`` and ``decompress_many(blobs)``; :func:`compress_many` and
+:func:`decompress_many` call them, or fall back to one call per item.
+
 A tiny registry maps codec names (``"pastri"``, ``"sz"``, ``"zfp"``,
 ``"lowrank"``, ``"deflate"``, ``"fpc"``) to factories so harness code can
 sweep codecs by name.  A built-in codec's module is imported on the first
@@ -129,6 +133,32 @@ def codec_from_spec(spec: dict) -> Codec:
         raise ParameterError(
             f"codec spec kwargs do not match codec {spec['name']!r}: {exc}"
         ) from exc
+
+
+def compress_many(codec: Codec, arrays, error_bound: float) -> list[bytes]:
+    """``[codec.compress(a, error_bound) for a in arrays]``, blob for blob.
+
+    One ``codec.compress_many`` call when the codec has the batch form
+    (PaSTRI fuses the streams into one kernel pass); one call per array
+    otherwise.
+    """
+    many = getattr(codec, "compress_many", None)
+    if many is None:
+        return [codec.compress(a, error_bound) for a in arrays]
+    return many(arrays, error_bound)
+
+
+def decompress_many(codec: Codec, blobs) -> list[np.ndarray]:
+    """``[codec.decompress(b) for b in blobs]``, array for array.
+
+    One ``codec.decompress_many`` call when the codec has the batch form
+    (PaSTRI decodes the blobs in one batched pass); one call per blob
+    otherwise.  Either way a corrupt blob raises its ``FormatError``.
+    """
+    many = getattr(codec, "decompress_many", None)
+    if many is None:
+        return [codec.decompress(b) for b in blobs]
+    return many(blobs)
 
 
 def validate_input(data: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ decoder in :mod:`repro.bitio.vlc`.
 """
 
 from repro.bitio.writer import BitWriter, pack_uint_rows, uint_to_bits, varlen_bits
-from repro.bitio.reader import BitReader, FieldScanner, gather_uint_fields
+from repro.bitio.reader import BitReader, FieldScanner
 from repro.bitio.vlc import decode_prefix_stream
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "BitReader",
     "FieldScanner",
     "decode_prefix_stream",
-    "gather_uint_fields",
     "pack_uint_rows",
     "uint_to_bits",
     "varlen_bits",

@@ -1,13 +1,10 @@
 """MSB-first bitstream reader backed by an unpacked numpy bit array.
 
-Two batched-decode primitives live beside :class:`BitReader`:
-
-* :func:`gather_uint_fields` reads runs of fixed-width fields at many
-  non-contiguous bit offsets with one vectorised gather — the read-side
-  counterpart of :func:`repro.bitio.writer.pack_uint_rows`;
-* :class:`FieldScanner` walks a stream sequentially with pure-Python
-  integer arithmetic on the packed bytes, which is ~10x cheaper than a
-  numpy round trip for the small scalar fields an index pass reads.
+:class:`FieldScanner` lives beside :class:`BitReader`: it walks a stream
+sequentially with pure-Python integer arithmetic on the packed bytes,
+which is ~10x cheaper than a numpy round trip for the small scalar fields
+an index pass reads.  Batched field reads at many offsets go through
+:func:`repro.bitio.vlc.gather_bit_windows_var` on the packed bytes.
 """
 
 from __future__ import annotations
@@ -15,32 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FormatError, ParameterError
-
-
-def gather_uint_fields(
-    bits: np.ndarray, starts: np.ndarray, count: int, nbits: int
-) -> np.ndarray:
-    """Read ``count`` consecutive ``nbits``-wide unsigned ints at each offset.
-
-    ``bits`` is an unpacked 0/1 uint8 array; ``starts`` holds one bit offset
-    per row.  Returns a ``(len(starts), count)`` uint64 matrix.  One fancy
-    gather plus one shift-dot replaces ``len(starts)`` separate
-    ``read_uint_array`` calls, which is what makes class-batched
-    decompression cheap for fields scattered across the stream.
-    """
-    if nbits > 64:
-        raise ParameterError("nbits must be <= 64")
-    starts = np.ascontiguousarray(starts, dtype=np.int64)
-    n = starts.size
-    if n == 0 or count == 0 or nbits == 0:
-        return np.zeros((n, count), dtype=np.uint64)
-    span = count * nbits
-    if int(starts.min()) < 0 or int(starts.max()) + span > bits.size:
-        raise FormatError("bit-field gather out of range")
-    win = bits[starts[:, None] + np.arange(span, dtype=np.int64)[None, :]]
-    win = win.reshape(n, count, nbits).astype(np.uint64)
-    shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
-    return (win << shifts[None, None, :]).sum(axis=2, dtype=np.uint64)
 
 
 class FieldScanner:
@@ -51,20 +22,39 @@ class FieldScanner:
     visit hundreds of thousands of small header fields cheaply.  Bounds are
     checked against the padded bit length (``8 * len(buffer)``), matching
     :class:`BitReader` semantics.
+
+    :meth:`confine` narrows the scanner to a byte range of the buffer — one
+    stream among several laid end to end — addressed from its own first
+    bit and bounded by its own end, so one scanner walks each stream of a
+    batch exactly as it would walk that stream alone.
     """
 
     def __init__(self, data: bytes | bytearray | np.ndarray, pos: int = 0) -> None:
         if isinstance(data, np.ndarray):
             data = data.tobytes()
         self._nbits = 8 * len(data)
+        self._byte0 = 0  # first byte of the confined range
         # 16 zero guard bytes let every read use one fixed-size window.
         self._buf = bytes(data) + b"\x00" * 16
         self.pos = pos
 
     @property
     def nbits(self) -> int:
-        """Total number of bits available (including byte padding)."""
+        """Bits available in the confined range (including byte padding)."""
         return self._nbits
+
+    def confine(self, start: int, nbytes: int, pos: int = 0) -> None:
+        """Read only the ``nbytes`` bytes at byte ``start``, from bit ``pos``.
+
+        Offsets (``pos``, ``seek``, error messages) count from the range's
+        first bit, and every bounds check stops at the range's end, not at
+        the end of the buffer.
+        """
+        if start < 0 or nbytes < 0 or start + nbytes > len(self._buf) - 16:
+            raise ParameterError(f"range [{start}, {start + nbytes}) outside the buffer")
+        self._byte0 = start
+        self._nbits = 8 * nbytes
+        self.seek(pos)
 
     @property
     def padded(self) -> np.ndarray:
@@ -81,7 +71,7 @@ class FieldScanner:
                 f"bitstream underflow: need {n} bits at offset {pos}, "
                 f"have {self._nbits - pos}"
             )
-        j = pos >> 3
+        j = (pos >> 3) + self._byte0
         word = int.from_bytes(self._buf[j : j + 16], "big")
         self.pos = pos + n
         return (word >> (128 - (pos & 7) - n)) & ((1 << n) - 1)
@@ -101,7 +91,9 @@ class FieldScanner:
                 f"have {self._nbits - pos}"
             )
         j0, j1 = pos >> 3, (pos + n + 7) >> 3
-        word = int.from_bytes(self._buf[j0:j1], "big") >> (8 * (j1 - j0) - (pos & 7) - n)
+        word = int.from_bytes(
+            self._buf[self._byte0 + j0 : self._byte0 + j1], "big"
+        ) >> (8 * (j1 - j0) - (pos & 7) - n)
         self.pos = pos + n
         return (word & ((1 << n) - 1)).bit_count()
 

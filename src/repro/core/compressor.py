@@ -9,16 +9,19 @@ Compression pipeline per full-sized block:
    or fall back to verbatim storage if patterned coding would not pay,
 4. emit the bitstream (format in :mod:`repro.core.header`).
 
-Both directions run *batched by block class*: the numeric stages are one
-fused numpy pass over all blocks, the coding decisions are vectorised,
-fixed-width fields move through one bit matrix per ``(kind, P_b,
-EC_b,max, sparse)`` class, and every dense ECQ segment is emitted — and,
-after a scalar index walk, decoded — in one planar pass.  The remaining
-Python loops only stage precomputed arrays (compress) or walk scalar
-header fields (the decompress index pass); see ``docs/ALGORITHM.md``
-§"Batched execution".  The stream is version 2, whose planar dense layout
-holds the same codeword bits as version 1 in another order: blobs keep
-their length, and version-1 blobs still decode bit-identically.
+Both directions run *batched*.  Compression is one fused numpy pass over
+all blocks with vectorised coding decisions; fixed-width fields move
+through one bit matrix per ``(kind, P_b, EC_b,max, sparse)`` class, and
+every dense ECQ segment is emitted in one planar pass.  Decompression
+batches across blobs as well as blocks: after a scalar index walk of each
+blob, one window gather per field family and one planar decode serve a
+whole group of blobs, with no per-class loop (:meth:`decompress_many`;
+:meth:`decompress` is its one-blob case).  The remaining Python loops
+only stage precomputed arrays (compress) or walk scalar header fields
+(the decompress index pass); see ``docs/ALGORITHM.md`` §"Batched
+execution".  The stream is version 2, whose planar dense layout holds the
+same codeword bits as version 1 in another order: blobs keep their
+length, and version-1 blobs still decode bit-identically.
 """
 
 from __future__ import annotations
@@ -26,14 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import api, telemetry
-from repro.bitio import (
-    BitReader,
-    BitWriter,
-    FieldScanner,
-    gather_uint_fields,
-    pack_uint_rows,
-    uint_to_bits,
-)
+from repro.bitio import BitWriter, FieldScanner, pack_uint_rows, uint_to_bits
+from repro.bitio.vlc import gather_bit_windows_var
 from repro.core import header as fmt
 from repro.core.blocking import BlockSpec, split_blocks
 from repro.core.classify import BlockType
@@ -48,6 +45,7 @@ from repro.core.quantize import (
 from repro.core.scaling import ScalingMetric, fit_pattern_batch
 from repro.core.stats import BlockRecord, StreamStats
 from repro.core.trees import (
+    PLANAR_CHUNK,
     TREE_IDS,
     ECQDecoder,
     decode_ecq_planar,
@@ -61,6 +59,10 @@ from repro.errors import FormatError, ParameterError
 #: Parse-cache entries kept per codec (each holds its blob plus the index
 #: arrays; two covers the common compress→verify→re-read loop).
 _PARSE_CACHE_MAX = 2
+#: Parsed global headers kept per codec, keyed by their bytes: a store's
+#: blobs share a handful of headers (one per geometry and block count).
+_HEADER_CACHE_MAX = 64
+_HEADER_BYTES = fmt.StreamHeader.NBITS // 8
 
 
 def _block_types(ecb: np.ndarray) -> np.ndarray:
@@ -137,6 +139,7 @@ class PaSTRICompressor:
         # held stream (the SCF-store access pattern) only pay the batched
         # reconstruction.  Entries are read-only once stored.
         self._parse_cache: dict[bytes, tuple] = {}
+        self._headers: dict[bytes, fmt.StreamHeader] = {}
 
     def spec_kwargs(self) -> dict:
         """Constructor kwargs for :func:`repro.api.codec_spec` (JSON-pure)."""
@@ -464,189 +467,312 @@ class PaSTRICompressor:
     def decompress(self, blob: bytes) -> np.ndarray:
         """Reconstruct the stream; output satisfies the stored error bound.
 
-        Two passes (see ``docs/ALGORITHM.md``): an *index pass* walks the
-        scalar block headers, records each block's (kind, P_b, EC_b,max,
-        bit offsets) and files its id under its class, then a *batched
-        reconstruction pass* gathers each class's fields at once, forms all
-        scale×pattern outer products with one broadcast multiply per class,
-        and scatter-adds every correction.
+        The one-blob case of :meth:`decompress_many`, which describes the
+        two passes.
+        """
+        (out,) = self._decompress_blobs([blob])
+        return out
+
+    def decompress_many(self, blobs) -> list[np.ndarray]:
+        """Reconstruct several streams; bit for bit ``[decompress(b) for b in blobs]``.
+
+        Two passes (see ``docs/ALGORITHM.md``).  An *index pass* walks each
+        blob's scalar block headers and records each block's (kind, P_b,
+        EC_b,max, bit offsets); it is memoised per blob (a small LRU), so
+        repeat decodes of a held stream — the SCF-store access pattern —
+        skip straight to the second pass.  A *reconstruction pass* then
+        runs once per group of blobs that share (dims, EB, tree, version),
+        over one buffer holding the group's blobs end to end: one window
+        gather for every PQ/SQ field, one for every sparse entry, one
+        scale×pattern product, and one planar decode of every dense ECQ
+        segment.  So the kernels' fixed cost is paid once per group, not
+        once per blob.  Groups are cut at about :data:`PLANAR_CHUNK`
+        tokens, which bounds the temporaries.
 
         The stream's version byte picks how dense ECQ segments are read.
         Version 2 (planar) segments are skipped by popcount during the walk
-        and then decoded together in one batched pass.  Version 1
-        (interleaved) segments end where their last codeword ends, so the
-        walk decodes each one in turn with :class:`ECQDecoder`.
+        and decoded together afterwards.  Version 1 (interleaved) segments
+        end where their last codeword ends, so the walk decodes each one in
+        turn with :class:`ECQDecoder`, and such blobs decode one at a time.
 
-        Index-pass results are memoised per blob (a small LRU): repeat
-        decodes of a held stream — the SCF-store access pattern — skip
-        straight to the batched reconstruction.
+        If any blob is corrupt the call raises the :class:`FormatError`
+        that :meth:`decompress` raises on the first such blob alone.
+        Every output is an array of its own.
         """
-        if not isinstance(blob, (bytes, bytearray)):
-            blob = bytes(blob)  # mmap views etc.: parse memo needs a hashable key
-        hdr = fmt.unpack_header(blob)
-        # Corrupt count fields must not drive allocations: every block costs
-        # at least its 2-bit kind tag, every tail value 64 bits.
-        if hdr.n_blocks * 2 + hdr.n_tail * 64 > 8 * len(blob) - hdr.NBITS:
-            raise FormatError("block/tail counts exceed the stream length")
-        r = BitReader(blob)
-        parse = self._parse_cache.get(blob)
-        if parse is None:
-            parse = self._index_pass(blob, hdr, r.bits)
-            self._parse_cache[blob] = parse
-            # threads decoding through one codec evict concurrently: take a
-            # snapshot and tolerate a key another thread already dropped
-            for old in list(self._parse_cache)[:-_PARSE_CACHE_MAX]:
-                self._parse_cache.pop(old, None)
-        return self._reconstruct(hdr, r, parse)
+        return self._decompress_blobs(blobs)
 
-    def _index_pass(self, blob: bytes, hdr: fmt.StreamHeader, bits: np.ndarray) -> tuple:
-        """Scalar header walk plus dense ECQ decode; returns the parse tuple.
+    def _decompress_blobs(self, blobs) -> list[np.ndarray]:
+        """:meth:`decompress_many` under neither telemetry wrapper, so
+        :meth:`decompress` is counted once."""
+        # mmap views etc.: the parse memo needs hashable keys
+        blobs = [b if type(b) is bytes else bytes(b) for b in blobs]
+        try:
+            return self._decode_blobs(blobs)
+        except FormatError:
+            if len(blobs) < 2:
+                raise
+            # A batch error may come from any blob and names batch-wide
+            # rows; the first blob that fails on its own raises its error.
+            for blob in blobs:
+                self._decode_blobs([blob])
+            raise
 
-        The first ten entries are the per-block arrays (kind, P_b,
-        EC_b,max, field offset, sparse count, sparse offset, sparse mask),
-        the dense block ids with their decoded tokens, and the bit offset
-        where the blocks end.  The last three are the block classes the
-        walk saw, which :meth:`_reconstruct` batches over: raw block ids,
-        then ``(P_b, ids)`` of patterned blocks and ``(EC_b,max, ids)`` of
-        sparse-ECQ blocks, each sorted by its key, ids ascending.
+    def _decode_blobs(self, blobs: list[bytes]) -> list[np.ndarray]:
+        """Group the blobs, cut each group into chunks, decode each chunk."""
+        hdrs = []
+        groups: dict = {}
+        for i, blob in enumerate(blobs):
+            head = blob[:_HEADER_BYTES]
+            hdr = self._headers.get(head)
+            if hdr is None:
+                hdr = fmt.unpack_header(blob)
+                if len(self._headers) >= _HEADER_CACHE_MAX:
+                    self._headers.clear()  # safe under concurrent decodes
+                self._headers[head] = hdr
+            # Corrupt count fields must not drive allocations: every block
+            # costs at least its 2-bit kind tag, every tail value 64 bits.
+            if hdr.n_blocks * 2 + hdr.n_tail * 64 > 8 * len(blob) - hdr.NBITS:
+                raise FormatError("block/tail counts exceed the stream length")
+            hdrs.append(hdr)
+            key = (hdr.spec.dims, hdr.error_bound, hdr.tree_id, hdr.version)
+            groups.setdefault(key if hdr.version >= 2 else i, []).append(i)
+        outs: list = [None] * len(blobs)
+        for ids in groups.values():
+            N = hdrs[ids[0]].spec.block_size
+            chunk: list[int] = []
+            tokens = 0
+            for i in ids:
+                chunk.append(i)
+                tokens += hdrs[i].n_blocks * N
+                if tokens >= PLANAR_CHUNK or i == ids[-1]:
+                    decoded = self._decode_group(
+                        [blobs[k] for k in chunk], [hdrs[k] for k in chunk]
+                    )
+                    for k, out in zip(chunk, decoded):
+                        outs[k] = out
+                    chunk, tokens = [], 0
+        return outs
+
+    def _decode_group(self, blobs: list[bytes], hdrs: list) -> list[np.ndarray]:
+        """Both passes over blobs of one (dims, EB, tree, version) group."""
+        sc = FieldScanner(blobs[0] if len(blobs) == 1 else b"".join(blobs))
+        starts = [0]
+        for blob in blobs[:-1]:
+            starts.append(starts[-1] + len(blob))
+        parses = [self._parse_cache.get(blob) for blob in blobs]
+        fresh = [i for i, p in enumerate(parses) if p is None]
+        if len(fresh) == len(blobs):
+            group, _ = self._index_pass(sc, blobs, hdrs, starts)
+        else:
+            if fresh:
+                walked, spans = self._index_pass(
+                    sc, [blobs[i] for i in fresh], [hdrs[i] for i in fresh],
+                    [starts[i] for i in fresh],
+                )
+                for i, span in zip(fresh, spans):
+                    parses[i] = _blob_parse(walked, span)
+            group = _concat_parses(parses, [h.n_blocks for h in hdrs])
+        return self._reconstruct(hdrs, group, starts, sc.padded)
+
+    def _index_pass(
+        self, sc: FieldScanner, blobs: list[bytes], hdrs: list, at: list[int]
+    ) -> tuple[tuple, list[tuple]]:
+        """Scalar header walk of each blob plus dense ECQ decode.
+
+        Blob ``k`` lies at byte ``at[k]`` of the scanner's buffer.  Each
+        walk is confined to its own blob (:meth:`FieldScanner.confine`), so
+        a corrupt count fails there instead of reading into the next blob.
+        Version-2 dense segments of all blobs then decode in one
+        :func:`decode_ecq_planar` call; version-1 segments end where their
+        last codeword ends, so the walk decodes each in turn with
+        :class:`ECQDecoder`.
+
+        Returns the parse of all rows — the blobs' blocks in order — and
+        each blob's span of it, ``(first row, end row, first dense row, end
+        dense row, bit offset where its blocks end)``; offsets count from
+        each blob's first bit.  :func:`_blob_parse` cuts a blob's parse
+        from its span, and the last blobs' parses are memoised.  The walk
+        also checks that the raw tail fits.
         """
+        hdr = hdrs[0]
         spec = hdr.spec
         M, L, N = spec.num_sb, spec.sb_size, spec.block_size
         idx_bits = max(1, (N - 1).bit_length())
         nol_bits = N.bit_length()
-        n_b = hdr.n_blocks
+        pqsq_bits = L + M
         tid = hdr.tree_id
         planar = hdr.version >= 2
-        kind_arr = np.zeros(n_b, dtype=np.int8)
-        pb_arr = np.zeros(n_b, dtype=np.int64)
-        ecb_arr = np.zeros(n_b, dtype=np.int64)
-        off_arr = np.zeros(n_b, dtype=np.int64)  # PQ start / raw-data start
-        sp_nol = np.zeros(n_b, dtype=np.int64)
-        sp_off = np.zeros(n_b, dtype=np.int64)
-        sparse_mask = np.zeros(n_b, dtype=bool)
-        raw_ids: list[int] = []
-        pat_ids: dict[int, list[int]] = {}
-        sp_ids: dict[int, list[int]] = {}
-        dense_ids: list[int] = []
-        dense_starts: list[int] = []
+        rows = sum(h.n_blocks for h in hdrs)
+        kind_arr = np.zeros(rows, dtype=np.int8)
+        pb_arr = np.zeros(rows, dtype=np.int64)
+        ecb_arr = np.zeros(rows, dtype=np.int64)
+        off_arr = np.zeros(rows, dtype=np.int64)  # PQ start / raw-data start
+        sp_nol = np.zeros(rows, dtype=np.int64)
+        sp_off = np.zeros(rows, dtype=np.int64)
+        sparse_mask = np.zeros(rows, dtype=bool)
+        dense_rows: list[int] = []
+        dense_starts: list[int] = []  # absolute, in the scanner's buffer
         dense_vals: list[np.ndarray] = []
-        if not planar:
+        body_ends: list[int] = []
+        if not planar:  # decodes one blob alone, at the buffer's start
+            bits = np.unpackbits(sc.padded)
             decoder = ECQDecoder(bits, tid, hints=self._scan_hints.setdefault(tid, {}))
-        sc = FieldScanner(blob, pos=hdr.NBITS)
-        pqsq_bits = L + M
 
-        for b in range(n_b):
-            kind = sc.read(2)
-            if kind == fmt.KIND_ZERO:
-                continue
-            if kind == fmt.KIND_RAW:
-                kind_arr[b] = fmt.KIND_RAW
-                raw_ids.append(b)
-                off_arr[b] = sc.pos
-                sc.skip(64 * N)
-                continue
-            if kind != fmt.KIND_PATTERNED:
-                raise FormatError(f"bad block kind {kind} in block {b}")
-            kind_arr[b] = fmt.KIND_PATTERNED
-            pb = sc.read(6)
-            if not 1 <= pb <= MAX_FIELD_BITS:
-                raise FormatError(f"bad P_b {pb} in block {b}")
-            pb_arr[b] = pb
-            pat_ids.setdefault(pb, []).append(b)
-            off_arr[b] = sc.pos
-            sc.skip(pqsq_bits * pb)
-            eb_max = sc.read(6)
-            ecb_arr[b] = eb_max
-            if eb_max < 2:
-                continue
-            if eb_max > MAX_ECB:
-                raise FormatError(f"bad EC_b,max {eb_max} in block {b}")
-            if sc.read(1):  # sparse ECQ: record the entry run, skip it
-                if idx_bits + eb_max > 64:
-                    raise FormatError(f"oversized outlier fields in block {b}")
-                sparse_mask[b] = True
-                sp_ids.setdefault(eb_max, []).append(b)
-                cnt = sc.read(nol_bits)
-                sp_nol[b] = cnt
-                sp_off[b] = sc.pos
-                sc.skip(cnt * (idx_bits + eb_max))
-                continue
-            dense_ids.append(b)
-            if planar:  # length from plane popcounts; decoded in bulk below
-                dense_starts.append(sc.pos)
-                skip_planar_segment(sc, N, eb_max, tid)
-            else:  # the end offset is only known by decoding
-                vals, end = decoder.decode(sc.pos, N, eb_max)
-                dense_vals.append(vals)
-                sc.seek(end)
+        r = 0
+        for blob, byte0, h in zip(blobs, at, hdrs):
+            sc.confine(byte0, len(blob), pos=h.NBITS)
+            base = 8 * byte0
+            for b in range(h.n_blocks):
+                kind = sc.read(2)
+                if kind == fmt.KIND_ZERO:
+                    r += 1
+                    continue
+                if kind == fmt.KIND_RAW:
+                    kind_arr[r] = fmt.KIND_RAW
+                    off_arr[r] = sc.pos
+                    sc.skip(64 * N)
+                    r += 1
+                    continue
+                if kind != fmt.KIND_PATTERNED:
+                    raise FormatError(f"bad block kind {kind} in block {b}")
+                kind_arr[r] = fmt.KIND_PATTERNED
+                pb = sc.read(6)
+                if not 1 <= pb <= MAX_FIELD_BITS:
+                    raise FormatError(f"bad P_b {pb} in block {b}")
+                pb_arr[r] = pb
+                off_arr[r] = sc.pos
+                sc.skip(pqsq_bits * pb)
+                eb_max = sc.read(6)
+                ecb_arr[r] = eb_max
+                if eb_max >= 2:
+                    if eb_max > MAX_ECB:
+                        raise FormatError(f"bad EC_b,max {eb_max} in block {b}")
+                    if sc.read(1):  # sparse ECQ: record the entry run, skip it
+                        if idx_bits + eb_max > 64:
+                            raise FormatError(f"oversized outlier fields in block {b}")
+                        sparse_mask[r] = True
+                        cnt = sc.read(nol_bits)
+                        sp_nol[r] = cnt
+                        sp_off[r] = sc.pos
+                        sc.skip(cnt * (idx_bits + eb_max))
+                    else:
+                        dense_rows.append(r)
+                        if planar:  # length from plane popcounts; decoded below
+                            dense_starts.append(base + sc.pos)
+                            skip_planar_segment(sc, N, eb_max, tid)
+                        else:  # the end offset is only known by decoding
+                            vals, end = decoder.decode(sc.pos, N, eb_max)
+                            dense_vals.append(vals)
+                            sc.seek(end)
+                r += 1
+            body_ends.append(sc.pos)
+            sc.skip(64 * h.n_tail)
 
-        dense_idx = np.asarray(dense_ids, dtype=np.int64)
-        if dense_vals:  # version 1: decoded during the walk
+        dense_idx = np.asarray(dense_rows, dtype=np.int64)
+        if dense_vals:
             dense_mat = np.concatenate(dense_vals).reshape(dense_idx.size, N)
         else:
             dense_mat = np.zeros((dense_idx.size, N), dtype=np.int64)
-            if dense_idx.size:  # version 2: all segments in one batched pass
+            if planar and dense_idx.size:
                 decode_ecq_planar(
-                    bits, sc.padded, np.asarray(dense_starts, dtype=np.int64),
-                    ecb_arr[dense_idx], tid, dense_mat,
+                    np.unpackbits(sc.padded), sc.padded,
+                    np.asarray(dense_starts, dtype=np.int64), ecb_arr[dense_idx],
+                    tid, dense_mat,
                 )
+        group = (kind_arr, pb_arr, ecb_arr, off_arr, sp_nol, sp_off,
+                 sparse_mask, dense_idx, dense_mat, body_ends)
 
-        def classes(by_key):
-            return tuple((k, np.asarray(by_key[k], dtype=np.int64)) for k in sorted(by_key))
-
-        return (kind_arr, pb_arr, ecb_arr, off_arr, sp_nol, sp_off,
-                sparse_mask, dense_idx, dense_mat, sc.pos,
-                np.asarray(raw_ids, dtype=np.int64), classes(pat_ids), classes(sp_ids))
+        spans = []
+        r0 = d0 = 0
+        for h, end in zip(hdrs, body_ends):
+            r1 = r0 + h.n_blocks
+            d1 = int(dense_idx.searchsorted(r1)) if len(blobs) > 1 else dense_idx.size
+            spans.append((r0, r1, d0, d1, end))
+            r0, d0 = r1, d1
+        # only the last blobs' parses would survive the memo's eviction
+        for blob, span in list(zip(blobs, spans))[-_PARSE_CACHE_MAX:]:
+            self._parse_cache[blob] = _blob_parse(group, span)
+        # threads decoding through one codec evict concurrently: take a
+        # snapshot and tolerate a key another thread already dropped
+        for old in list(self._parse_cache)[:-_PARSE_CACHE_MAX]:
+            self._parse_cache.pop(old, None)
+        return group, spans
 
     def _reconstruct(
-        self, hdr: fmt.StreamHeader, r: BitReader, parse: tuple
-    ) -> np.ndarray:
-        """Batched reconstruction from a parse tuple (cold or memoised)."""
-        (_, _, _, off_arr, sp_nol, sp_off, _, dense_idx, dense_mat, body_end,
-         raw_ids, pat_classes, sp_classes) = parse
+        self, hdrs: list, group: tuple, starts: list[int], packed: np.ndarray
+    ) -> list[np.ndarray]:
+        """Class-free batched reconstruction of a group from its parse.
+
+        ``packed`` holds the group's blobs end to end (blob ``i`` at byte
+        ``starts[i]``) plus zero guard bytes; ``group`` is the parse of all
+        rows, the blobs' blocks in order.  Every field family is read with
+        one window gather over all rows, whatever their P_b or EC_b,max.
+        """
+        (kind, pb, ecb, off, sp_nol, sp_off, sparse, dense_idx, dense_mat,
+         body_ends) = group
+        hdr = hdrs[0]
         spec = hdr.spec
-        binsize = working_binsize(hdr.error_bound)
         M, L, N = spec.num_sb, spec.sb_size, spec.block_size
+        binsize = working_binsize(hdr.error_bound)
         idx_bits = max(1, (N - 1).bit_length())
-        pqsq_bits = L + M
-        n_b = hdr.n_blocks
-        bits = r.bits
-        out = np.zeros(n_b * N + hdr.n_tail, dtype=np.float64)
-        flat = out[: n_b * N]
-        body = flat.reshape(n_b, N)
+        n_rows = [h.n_blocks for h in hdrs]
+        rows = kind.size
+        n_tail = [h.n_tail for h in hdrs]
+        single = len(hdrs) == 1
+        if not single:  # offsets count from each blob's first bit
+            row_base = np.repeat(np.asarray(starts, dtype=np.int64) * 8, n_rows)
+            off = off + row_base
 
-        if raw_ids.size:
-            # Chunked: the bit gather costs 8 bytes per stream bit.
-            step = max(1, (1 << 23) // (64 * N))
-            for i in range(0, raw_ids.size, step):
-                ids = raw_ids[i : i + step]
-                u = gather_uint_fields(bits, off_arr[ids], N, 64)
-                body[ids] = u.view(np.float64)
-
-        for pbi, ids in pat_classes:
-            offset = np.int64(1) << (pbi - 1)  # also 2^(P_b-1) of Eq. 10
-            fields = gather_uint_fields(bits, off_arr[ids], pqsq_bits, pbi)
-            fields = fields.astype(np.int64) - offset
-            approx = pattern_products(fields[:, :L], fields[:, L:], offset, binsize)
-            body[ids] = approx.reshape(ids.size, N)
+        pat = (kind == fmt.KIND_PATTERNED).nonzero()[0]
+        approx = None
+        if pat.size:
+            pbp = pb[pat]
+            at = np.arange(0, L + M, dtype=np.int64) * pbp[:, None]
+            at += off[pat, None]
+            fields = gather_bit_windows_var(packed, at.ravel(), pbp.repeat(L + M))
+            fields = fields.view(np.int64).reshape(pat.size, L + M)
+            half = (np.int64(1) << (pbp - 1))[:, None]  # 2^(P_b-1), Eq. 10
+            fields -= half
+            approx = pattern_products(fields[:, :L], fields[:, L:], half, binsize)
+            approx = approx.reshape(pat.size, N)
+        if pat.size == rows and not (single and n_tail[0]):
+            body = approx if rows else np.zeros((0, N))
+        else:
+            out = np.zeros(rows * N + (n_tail[0] if single else 0), dtype=np.float64)
+            body = out[: rows * N].reshape(rows, N)
+            if pat.size:
+                body[pat] = approx
+            raw = (kind == fmt.KIND_RAW).nonzero()[0]
+            # Chunked: each 64-bit window gather costs a few words per value.
+            step = max(1, PLANAR_CHUNK // N)
+            for i in range(0, raw.size, step):
+                ids = raw[i : i + step]
+                at = (off[ids, None] + 64 * np.arange(N, dtype=np.int64)).ravel()
+                u = gather_bit_windows_var(packed, at, np.full(at.size, 64))
+                body[ids] = u.view(np.float64).reshape(ids.size, N)
+        flat = body.reshape(-1)
 
         if dense_idx.size:
             body[dense_idx] += dense_mat * binsize
 
-        for ebi, ids in sp_classes:
-            width = idx_bits + ebi
-            counts = sp_nol[ids]
+        sp = sparse.nonzero()[0]
+        if sp.size:
+            counts = sp_nol[sp]
             total = int(counts.sum())
-            if total == 0:
-                continue
+            ebs = ecb[sp]
+            w_row = idx_bits + ebs
+            sp_at = sp_off[sp] if single else sp_off[sp] + row_base[sp]
+            # entry k of a block sits k entry widths past the block's run
             first_entry = np.cumsum(counts) - counts
-            intra = np.arange(total, dtype=np.int64) - np.repeat(first_entry, counts)
-            starts = np.repeat(sp_off[ids], counts) + intra * width
-            packed = gather_uint_fields(bits, starts, 1, width).ravel()
-            idxs = (packed >> np.uint64(ebi)).astype(np.int64)
-            vals = (packed & np.uint64((1 << ebi) - 1)).astype(np.int64)
-            vals -= 1 << (ebi - 1)
-            bids = np.repeat(ids, counts)
+            width = w_row.repeat(counts)
+            at = (sp_at - first_entry * w_row).repeat(counts)
+            at += np.arange(total, dtype=np.int64) * width
+            fields = gather_bit_windows_var(packed, at, width)
+            ebs_u = ebs.repeat(counts).view(np.uint64)
+            idxs = (fields >> ebs_u).view(np.int64)
+            vals = (fields - (idxs.view(np.uint64) << ebs_u)).view(np.int64)
+            vals -= (np.int64(1) << (ebs - 1)).repeat(counts)
+            bids = sp.repeat(counts)
             if (idxs >= N).any():
                 bad = int(bids[int(np.argmax(idxs >= N))])
                 raise FormatError(f"outlier index out of range in block {bad}")
@@ -655,7 +781,7 @@ class PaSTRICompressor:
             # indices must be strictly increasing within each block; a
             # duplicate would otherwise be silently dropped by the
             # scatter-add below.
-            bad_step = np.diff(gpos) <= 0
+            bad_step = gpos[1:] <= gpos[:-1]
             if bad_step.any():
                 bad = int(bids[1 + int(np.argmax(bad_step))])
                 raise FormatError(
@@ -663,10 +789,50 @@ class PaSTRICompressor:
                 )
             flat[gpos] += vals * binsize
 
-        if hdr.n_tail:
-            r.seek(body_end)
-            out[n_b * N :] = r.read_uint_array(hdr.n_tail, 64).view(np.float64)
-        return out
+        if any(n_tail):
+            at = np.concatenate([
+                8 * s + end + 64 * np.arange(nt, dtype=np.int64)
+                for s, end, nt in zip(starts, body_ends, n_tail)
+            ])
+            tails = gather_bit_windows_var(packed, at, np.full(at.size, 64)).view(np.float64)
+            if single:
+                out[rows * N :] = tails
+                return [out]
+        if single:
+            return [flat]
+        outs = []
+        r0 = t0 = 0
+        for n, nt in zip(n_rows, n_tail):
+            own = flat[r0 * N : (r0 + n) * N]
+            outs.append(np.concatenate((own, tails[t0 : t0 + nt])) if nt else own.copy())
+            r0 += n
+            t0 += nt
+        return outs
+
+
+def _blob_parse(group: tuple, span: tuple) -> tuple:
+    """One blob's parse, cut from a group parse by the blob's span: views of
+    the per-block arrays (kind, P_b, EC_b,max, field offset, sparse count,
+    sparse offset, sparse mask), its dense block ids with their decoded
+    tokens, and the bit offset where its blocks end."""
+    r0, r1, d0, d1, end = span
+    if r0 == 0 and r1 == group[0].size:  # the blob is the whole group
+        return group[:9] + (end,)
+    return tuple(a[r0:r1] for a in group[:7]) + (
+        group[7][d0:d1] - r0, group[8][d0:d1], end,
+    )
+
+
+def _concat_parses(parses: list[tuple], n_rows: list[int]) -> tuple:
+    """One parse over all rows from per-blob parses (blocks in blob order)."""
+    if len(parses) == 1:
+        return parses[0][:9] + ([parses[0][9]],)
+    cols = list(zip(*parses))
+    first = np.cumsum([0] + n_rows[:-1])
+    dense_idx = np.concatenate([d + r for d, r in zip(cols[7], first.tolist())])
+    return tuple(np.concatenate(c) for c in cols[:7]) + (
+        dense_idx, np.concatenate(cols[8]), list(cols[9]),
+    )
 
 
 def _factory(**kwargs) -> PaSTRICompressor:

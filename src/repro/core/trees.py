@@ -268,8 +268,10 @@ def _planar_tail_widths(
 def _planar_values(
     c: np.ndarray, tail: np.ndarray, ecb: np.ndarray, levels: np.ndarray, tree_id: int
 ) -> np.ndarray:
-    """Inverse of :func:`_planar_classes` for tokens of class ``c >= 1``."""
-    tail = tail.astype(np.int64)
+    """Inverse of :func:`_planar_classes` for tokens of class ``c >= 1``.
+
+    ``tail`` holds the tails as int64.
+    """
     escape = tail - np.left_shift(np.int64(1), ecb - 1)
     if tree_id == 1:
         return escape
@@ -388,52 +390,73 @@ def decode_ecq_planar(
     """Decode planar segments at bit offsets ``starts`` into rows of ``out``.
 
     ``out`` is a zeroed ``(len(starts), n)`` int64 matrix; ``bits`` is the
-    unpacked stream and ``packed`` its bytes plus at least 6 zero guard
-    bytes.  Each chunk of rows reads plane 0 of every row, finds the tokens
-    that go on with ``nonzero``, places each later plane's bits by prefix
-    sums over the row runs, and reads every tail with one window gather.
-    The caller must have bounds-checked each segment
-    (:func:`skip_planar_segment`).  Returns each segment's end offset.
+    unpacked stream and ``packed`` its bytes plus at least 7 zero guard
+    bytes.  Each chunk of rows reads plane 0 of every row and finds the
+    tokens that go on with ``nonzero``.  Plane j of a row is one
+    contiguous run holding a bit for each of the row's tokens that reach
+    it, in token order, so every plane is read as row slices, like plane
+    0.  One prefix sum then places every tail, and one window gather
+    reads them all.  Per-row values (EC_b,max, prefix planes, tail start)
+    enter the token arithmetic as scalars when the chunk's rows share
+    them, and are repeated per token only when they differ.  The caller
+    must have bounds-checked each segment (:func:`skip_planar_segment`).
+    Returns each segment's end offset.
     """
     n_rows, n = out.shape
+    ecb_rows = np.asarray(ecb_rows, dtype=np.int64)
     levels = _planar_levels(ecb_rows, tree_id)
-    flat_out = out.reshape(-1)
     ends = np.empty(n_rows, dtype=np.int64)
     step = max(1, PLANAR_CHUNK // max(n, 1))
     for r0 in range(0, n_rows, step):
         r1 = min(r0 + step, n_rows)
-        nb = r1 - r0
-        off = starts[r0:r1] + n
-        # plane 0 of every row: contiguous runs, so slices beat a gather
-        plane0 = np.concatenate([bits[s - n : s] for s in off.tolist()])
-        tok = np.flatnonzero(plane0.view(np.bool_))  # tokens that go on
-        bounds = np.searchsorted(tok, np.arange(nb + 1) * n)  # row runs in tok
-        cnt = np.diff(bounds)
-        lv = np.repeat(levels[r0:r1], cnt)
+        off = starts[r0:r1].tolist()
+        if r1 - r0 == 1:
+            plane0 = bits[off[0] : off[0] + n]
+        else:
+            plane0 = np.concatenate([bits[s : s + n] for s in off])
+        tok = plane0.view(np.bool_).nonzero()[0]  # tokens that go on
+        bounds = tok.searchsorted(np.arange(0, (r1 - r0 + 1) * n, n))  # row runs
+        cnt = bounds[1:] - bounds[:-1]
+        off = [s + n for s in off]
+        lv_rows, ecb_r = levels[r0:r1], ecb_rows[r0:r1]
+        if (ecb_r == ecb_r[0]).all():  # one EC_b,max: scalars broadcast
+            lv, ecb = lv_rows[0], ecb_r[0]
+        else:
+            lv, ecb = lv_rows.repeat(cnt), ecb_r.repeat(cnt)
         c = np.ones(tok.size, dtype=np.int64)  # leading ones of each prefix
-        act = np.flatnonzero(lv > 1)  # tokens that have a plane 1
+        # Plane 1 is read by every token of a row that has one; act lists
+        # the tokens reading the current plane (None: all of them).
+        top = int(lv_rows.max())
+        if top > 1:
+            has1 = lv_rows > 1
+            run = np.where(has1, cnt, 0).tolist()
+            act = None if has1.all() else np.flatnonzero(lv > 1)
         j = 1
-        while act.size:
-            run = np.searchsorted(act, bounds)  # row runs in act
-            run_cnt = np.diff(run)
-            at = np.arange(act.size, dtype=np.int64)
-            b = bits[at + np.repeat(off - run[:-1], run_cnt)]
-            if act.size == c.size:
+        while j < top:
+            b = np.concatenate([bits[o : o + k] for o, k in zip(off, run)])
+            off = [o + k for o, k in zip(off, run)]
+            if act is None:
                 c += b
             else:
                 c[act] += b
-            off += run_cnt
             j += 1
-            act = act[b.view(np.bool_)]
-            act = act[lv[act] > j]
-        ecb = np.repeat(ecb_rows[r0:r1], cnt)
-        w = _planar_tail_widths(c, ecb, lv, tree_id)
-        row_tail = _row_sums(w, bounds)
-        pos = np.cumsum(w) - w  # tail offset among all tails of the chunk
-        pos += np.repeat(off - (np.cumsum(row_tail) - row_tail), cnt)
-        tail = gather_bit_windows_var(packed, pos, w)
-        flat_out[tok + r0 * n] = _planar_values(c, tail, ecb, lv, tree_id)
-        ends[r0:r1] = off + row_tail
+            if j == top:
+                break
+            act = np.flatnonzero(b.view(np.bool_)) if act is None else act[b.view(np.bool_)]
+            act = act[np.broadcast_to(lv, c.shape)[act] > j]
+            run = np.diff(act.searchsorted(bounds)).tolist()
+        w = np.broadcast_to(_planar_tail_widths(c, ecb, lv, tree_id), c.shape)
+        # Tails follow the last plane, row by row, in token order.
+        cs = np.empty(tok.size + 1, dtype=np.int64)
+        cs[0] = 0
+        np.cumsum(w, out=cs[1:])
+        row0 = cs[bounds[:-1]]
+        off = np.asarray(off, dtype=np.int64)
+        shift = off - row0
+        pos = cs[:-1] + (shift[0] if r1 - r0 == 1 else shift.repeat(cnt))
+        tail = gather_bit_windows_var(packed, pos, w).view(np.int64)
+        out[r0:r1].reshape(-1)[tok] = _planar_values(c, tail, ecb, lv, tree_id)
+        ends[r0:r1] = off + cs[bounds[1:]] - row0
     return ends
 
 

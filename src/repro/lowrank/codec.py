@@ -132,8 +132,12 @@ class LowRankCompressor:
 
     def compress(self, data: np.ndarray, error_bound: float) -> bytes:
         """Compress a 1-D float64 stream of shell blocks."""
+        return self._compress_stream(data, api.validate_error_bound(error_bound))
+
+    def _compress_stream(self, data: np.ndarray, eb: float) -> bytes:
+        """:meth:`compress` under neither telemetry wrapper, so
+        :meth:`compress_many` counts each stream once."""
         data = api.validate_input(data)
-        eb = api.validate_error_bound(error_bound)
         spec = self.spec
         N = spec.block_size
         n_blocks, n_tail = split_blocks(data.size, N)
@@ -158,7 +162,7 @@ class LowRankCompressor:
         """
         eb = api.validate_error_bound(error_bound)
         with telemetry.trace("lowrank.compress_many", n_streams=len(arrays)):
-            return [self.compress(a, eb) for a in arrays]
+            return [self._compress_stream(a, eb) for a in arrays]
 
     def _compress_body(
         self,

@@ -134,11 +134,7 @@ def _compress_group(
     a single batched kernel pass (``compress_many``)."""
     chunks, eb, dims = args
     views = [shm.attach_array(c) if isinstance(c, shm.ArrayRef) else c for c in chunks]
-    codec = _shaped_worker_codec(dims)
-    if hasattr(codec, "compress_many"):
-        blobs = codec.compress_many(views, eb)
-    else:
-        blobs = [codec.compress(v, eb) for v in views]
+    blobs = api.compress_many(_shaped_worker_codec(dims), views, eb)
     return blobs, telemetry.capture_state()
 
 

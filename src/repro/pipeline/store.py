@@ -31,7 +31,9 @@ than fit in memory and interleaves the reuse with one-off full scans:
   cache instead of seek+read copies.
 * On an array-tier miss the store can read ahead: likely-next keys (from
   a per-key access-sequence profile, falling back to class-adjacent
-  neighbors) are decoded speculatively into the admission window.
+  neighbors) are decoded speculatively into the admission window, in the
+  same decode call as the miss.  Readahead stops while its recent
+  prefetches go mostly unused, probing now and then.
 * Overwritten keys orphan their old frames; :meth:`ContainerBackend.compact`
   rewrites the container with only live frames using the same atomic
   create-then-rename commit as :meth:`CompressedERIStore.save`, and
@@ -45,6 +47,7 @@ codec and error bound included — with :meth:`CompressedERIStore.load`.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import os
@@ -95,6 +98,16 @@ _SPILL_ROLE = "eri-store-spill"
 _PROFILE_FANOUT = 8
 #: hard cap on profiled keys; beyond it the profile restarts from empty
 _PROFILE_MAX_KEYS = 65536
+#: readahead judges itself on this many most recent resolved prefetches
+#: (used, or evicted unused) ...
+_READAHEAD_WINDOW = 32
+#: ... and stops speculating while fewer than this share of them were used:
+#: a used prefetch saves a decode, while a wasted one costs a decode and
+#: takes a tier slot a hit may have needed
+_READAHEAD_FLOOR = 0.5
+#: below the floor, every this-many-th miss still prefetches one candidate,
+#: so the window sees when the access pattern turns predictable again
+_READAHEAD_PROBE_EVERY = 16
 
 
 @dataclass
@@ -730,9 +743,10 @@ class CompressedERIStore:
 
     The store is **thread-safe**: one reentrant lock serializes backend
     mutations, cache updates, and stats bumps.  No decode holds it:
-    :meth:`get`, :meth:`get_many` and readahead share one read sequence
-    that claims each array-tier miss under the lock, decodes outside it,
-    and admits the result under it again.  Concurrent readers of a claimed
+    :meth:`get` and :meth:`get_many` share one read sequence that claims
+    each array-tier miss (and a ``get``'s readahead candidates) under the
+    lock, decodes them outside it in one call, and admits the results
+    under it again.  Concurrent readers of a claimed
     key wait on the one in-flight decode instead of repeating it, readers
     of other keys decode in parallel, and a ``put`` racing a decode keeps
     the stale array out of the tier.
@@ -763,6 +777,11 @@ class CompressedERIStore:
         self._computing: set = set()  # keys with a get_or_compute in flight
         self._hot_array_bytes = 0
         self._prefetched: set = set()  # readahead keys not yet hit
+        # outcomes of the latest resolved prefetches (1 used, 0 wasted)
+        self._readahead_outcomes: collections.deque = collections.deque(
+            maxlen=_READAHEAD_WINDOW
+        )
+        self._readahead_probe = 0  # misses since speculation stopped
         self._last_key = None  # previous accessed key (sequence profile)
         bind = getattr(self.backend, "bind", None)
         if bind is not None:
@@ -857,6 +876,7 @@ class CompressedERIStore:
             if gone in self._prefetched:
                 self._prefetched.discard(gone)
                 self.stats.bump("readahead_wasted")
+                self._readahead_outcomes.append(0)
         self.stats.hot_bytes = self._hot_array_bytes
 
     def _note_access(self, key) -> None:
@@ -894,29 +914,30 @@ class CompressedERIStore:
     def get(self, key) -> np.ndarray:
         """Decompress one block; raises KeyError for unknown keys.
 
-        Feeds the access-sequence profile, and reads ahead after a miss.
+        Feeds the access-sequence profile.  A miss claims its readahead
+        candidates in the same lock hold and decodes them with it, in one
+        decode call.
         """
         with self._cond:
             self.stats.bump("gets")
             self._note_access(key)
             hits, claims = self._claim([key])
-        if hits:
-            return hits[key]
-        out = self._decode_and_admit(claims)[0]
-        if self.readahead_depth > 0 and self._hot_arrays is not None:
-            self._readahead_from(key)
-        return out
+            if hits:
+                return hits[key]
+            speculative = self._claim_readahead(key)
+            claims.update(speculative)
+        return self._decode_and_admit(claims, speculative=speculative)[0]
 
     def get_many(self, keys, n_workers: int = 1) -> list[np.ndarray]:
         """Bulk fetch: the batch form of :meth:`get`'s read sequence.
 
-        With ``n_workers > 1`` the misses are decoded by one
-        ``decompress_batch`` call on the persistent shared worker pool
-        (blobs and large results travel over shared memory), so a bulk
-        load — snapshot warm-up, an MP2 sweep — uses every core.  The
-        access-sequence profile is *not* fed (a bulk scan is not a pattern
-        worth learning).  Raises ``KeyError`` on the first unknown key,
-        before any decode runs.
+        The misses are decoded in one call: one ``decompress_many`` call
+        inline, or with ``n_workers > 1`` one ``decompress_batch`` call on
+        the persistent shared worker pool (blobs and large results travel
+        over shared memory), so a bulk load — snapshot warm-up, an MP2
+        sweep — uses every core.  The access-sequence profile is *not*
+        fed (a bulk scan is not a pattern worth learning).  Raises
+        ``KeyError`` on the first unknown key, before any decode runs.
         """
         keys = list(keys)
         with self._cond:
@@ -926,33 +947,51 @@ class CompressedERIStore:
         found.update(hits)
         return [found[k] for k in keys]
 
-    def _readahead_from(self, key) -> None:
-        """Speculatively decode likely-next keys into the admission window.
+    def _claim_readahead(self, key) -> dict:
+        """Under the lock: pick and claim the readahead candidates of a miss.
 
         Candidates are the access-sequence profile's successors of ``key``
         (what actually followed it before), then its class-adjacent
-        neighbors.  The first ``readahead_depth`` that are neither cached,
-        claimed nor unknown are claimed, decoded and admitted like misses.
-        A candidate that fails to fetch or decode is skipped, neither
-        cached nor counted: its error belongs to a get of that key.
+        neighbors.  The first ones that are neither cached, claimed nor
+        unknown are claimed; :meth:`_readahead_budget` says how many.
+        A candidate whose blob cannot be fetched is skipped.  Returns
+        ``{key: blob}``.
         """
         claims: dict = {}
-        with self._cond:
-            succ = self.stats.seq_profile.get(key, {})
-            candidates = sorted(succ, key=succ.get, reverse=True)
-            candidates.extend(self._class_adjacent(key))
-            for cand in dict.fromkeys(candidates):
-                if len(claims) >= self.readahead_depth:
-                    break
-                busy = cand == key or cand in self._decoding or cand in self._hot_arrays
-                if busy or cand not in self.backend:
-                    continue
-                try:
-                    claims[cand] = self.backend.get(cand).blob
-                except FormatError:
-                    continue
-            self._decoding.update(claims)
-        self._decode_and_admit(claims, speculative=True)
+        if self.readahead_depth <= 0 or self._hot_arrays is None:
+            return claims
+        budget = self._readahead_budget()
+        succ = self.stats.seq_profile.get(key, {})
+        candidates = sorted(succ, key=succ.get, reverse=True)
+        candidates.extend(self._class_adjacent(key))
+        for cand in dict.fromkeys(candidates):
+            if len(claims) >= budget:
+                break
+            busy = cand == key or cand in self._decoding or cand in self._hot_arrays
+            if busy or cand not in self.backend:
+                continue
+            try:
+                claims[cand] = self.backend.get(cand).blob
+            except FormatError:
+                continue
+        self._decoding.update(claims)
+        return claims
+
+    def _readahead_budget(self) -> int:
+        """Under the lock: candidates this miss may prefetch.
+
+        ``readahead_depth`` while at least :data:`_READAHEAD_FLOOR` of
+        the last :data:`_READAHEAD_WINDOW` resolved prefetches were used
+        (or fewer have resolved yet).  Below the floor readahead stops,
+        except that every :data:`_READAHEAD_PROBE_EVERY`-th miss probes
+        one candidate, whose outcome can lift the window again.
+        """
+        window = self._readahead_outcomes
+        if len(window) < window.maxlen or sum(window) >= _READAHEAD_FLOOR * len(window):
+            self._readahead_probe = 0
+            return self.readahead_depth
+        self._readahead_probe += 1
+        return 1 if self._readahead_probe % _READAHEAD_PROBE_EVERY == 0 else 0
 
     def _claim(self, keys: list) -> tuple[dict, dict]:
         """Under the lock: serve array-tier hits, fetch and claim each miss.
@@ -973,6 +1012,7 @@ class CompressedERIStore:
                 if key in self._prefetched:
                     self._prefetched.discard(key)
                     self.stats.bump("readahead_useful")
+                    self._readahead_outcomes.append(1)
                 hits[key] = hit
                 continue
             if self._hot_arrays is not None:
@@ -983,30 +1023,31 @@ class CompressedERIStore:
             self._decoding.update(claims)
         return hits, claims
 
-    def _decode_and_admit(self, claims: dict, n_workers=1, speculative=False) -> list:
+    def _decode_and_admit(self, claims: dict, n_workers=1, speculative=()) -> list:
         """Decode ``{key: blob}`` outside the lock; returns arrays in order.
 
-        Inline, or one pool batch when ``n_workers > 1``.  Then, under the
-        lock, every claim is released and each array no ``put`` marked
-        stale is admitted.  A speculative blob that fails to decode maps
-        to ``None``.
+        One decode call for all claims: inline, or one pool batch when
+        ``n_workers > 1``.  If that call raises :class:`FormatError`, the
+        blobs are decoded one at a time: a key in ``speculative`` whose
+        blob fails maps to ``None`` (its error belongs to a get of that
+        key), any other raises.  Then, under the lock, every claim is
+        released and each array no ``put`` marked stale is admitted.
         """
         arrays: list = []
         try:
-            if n_workers > 1 and claims:
-                from repro.parallel.pool import shared_pool
-
-                spec = api.codec_spec(self.codec)
-                pool = shared_pool(spec["name"], spec.get("kwargs"), n_workers)
-                arrays = pool.decompress_batch(list(claims.values()))
-            else:
-                for blob in claims.values():
+            try:
+                arrays = self._decode(list(claims.values()), n_workers)
+            except FormatError:
+                if len(claims) < 2:
+                    raise
+                for key, blob in claims.items():
                     try:
-                        arrays.append(self.codec.decompress(blob))
+                        (arr,) = self._decode([blob], 1)
                     except FormatError:
-                        if not speculative:
+                        if key not in speculative:
                             raise
-                        arrays.append(None)
+                        arr = None
+                    arrays.append(arr)
         finally:
             with self._cond:
                 stale = self._decode_stale.intersection(claims)
@@ -1017,11 +1058,22 @@ class CompressedERIStore:
                         continue
                     arr.setflags(write=False)  # cached arrays are shared
                     self._admit_array(key, arr)
-                    if speculative:
+                    if key in speculative:
                         self._prefetched.add(key)
                         self.stats.bump("readahead_issued")
                 self._cond.notify_all()
         return arrays
+
+    def _decode(self, blobs: list, n_workers: int) -> list:
+        """The store's one decode site: a pool batch, or one
+        ``decompress_many`` call."""
+        if n_workers > 1 and blobs:
+            from repro.parallel.pool import shared_pool
+
+            spec = api.codec_spec(self.codec)
+            pool = shared_pool(spec["name"], spec.get("kwargs"), n_workers)
+            return pool.decompress_batch(blobs)
+        return api.decompress_many(self.codec, blobs)
 
     def get_or_compute(self, key, compute, dims=None) -> np.ndarray:
         """Fetch from the store, or compute, insert, and return.

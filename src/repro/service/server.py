@@ -503,11 +503,9 @@ class CompressionServer(Endpoint):
                     blobs[i] = blob
             return blobs
         for (eb, dims), idxs in groups.items():
-            codec = self.store.codec_for(dims)
-            if len(idxs) > 1 and hasattr(codec, "compress_many"):
-                group_blobs = codec.compress_many([jobs[i][0] for i in idxs], eb)
-            else:
-                group_blobs = [codec.compress(jobs[i][0], eb) for i in idxs]
+            group_blobs = api.compress_many(
+                self.store.codec_for(dims), [jobs[i][0] for i in idxs], eb
+            )
             for i, blob in zip(idxs, group_blobs):
                 blobs[i] = blob
         return blobs

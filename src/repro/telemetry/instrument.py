@@ -5,7 +5,8 @@ their compressor classes.  With telemetry disabled the wrapper is one
 attribute read and a branch before calling straight through — the
 zero-overhead mode CI guards.  Enabled, every call records:
 
-* a span named ``codec.<name>.<op>`` (feeding the same-named timer),
+* a span named ``codec.<name>.<op>`` (feeding the same-named timer; the
+  batch forms ``<op>_many`` record under the same name),
 * ``codec.<name>.<op>.bytes_in`` / ``.bytes_out`` counters, and
 * payload bytes on the timer, so the summary table shows MB/s
   (uncompressed bytes for both directions — the paper's rate convention).
@@ -40,42 +41,47 @@ def _nbytes(obj) -> int:
 
 
 def instrument_codec(cls):
-    """Class decorator wrapping ``compress``/``decompress`` with telemetry.
+    """Class decorator wrapping a codec's calls with telemetry.
 
-    The metric namespace comes from each *instance*'s ``name`` attribute,
-    so one wrapper serves every registered codec.
+    ``compress`` and ``decompress`` are wrapped, and so are the batch
+    forms ``compress_many`` and ``decompress_many`` when the class has
+    them: a batch call records one span and adds its summed bytes to the
+    same ``codec.<name>.compress`` / ``.decompress`` metrics.  A codec
+    whose one-item and batch methods share code must route both through
+    a private method, or each call would be counted twice.  The metric
+    namespace comes from each *instance*'s ``name`` attribute, so one
+    wrapper serves every registered codec.
     """
-    orig_compress = cls.compress
-    orig_decompress = cls.decompress
-
-    @functools.wraps(orig_compress)
-    def compress(self, data, error_bound=0.0):
-        if not state.enabled:
-            return orig_compress(self, data, error_bound)
-        base = f"codec.{self.name}.compress"
-        bytes_in = _nbytes(data)
-        with trace(base, nbytes=bytes_in):
-            blob = orig_compress(self, data, error_bound)
-        REGISTRY.counter(base + ".bytes_in").add(bytes_in)
-        REGISTRY.counter(base + ".bytes_out").add(len(blob))
-        REGISTRY.timer(base).add_bytes(bytes_in)
-        return blob
-
-    @functools.wraps(orig_decompress)
-    def decompress(self, blob):
-        if not state.enabled:
-            return orig_decompress(self, blob)
-        base = f"codec.{self.name}.decompress"
-        with trace(base, nbytes=len(blob)):
-            out = orig_decompress(self, blob)
-        REGISTRY.counter(base + ".bytes_in").add(len(blob))
-        REGISTRY.counter(base + ".bytes_out").add(_nbytes(out))
-        REGISTRY.timer(base).add_bytes(_nbytes(out))
-        return out
-
-    cls.compress = compress
-    cls.decompress = decompress
+    for op in ("compress", "decompress"):
+        setattr(cls, op, _instrumented(getattr(cls, op), op, batch=False))
+        many = getattr(cls, op + "_many", None)
+        if many is not None:
+            setattr(cls, op + "_many", _instrumented(many, op, batch=True))
     return cls
+
+
+def _instrumented(fn, op: str, batch: bool):
+    """``fn`` timed under ``codec.<name>.<op>``; its first argument is one
+    payload, or a sequence of them when ``batch``."""
+
+    @functools.wraps(fn)
+    def wrapper(self, payload, *args, **kwargs):
+        if not state.enabled:
+            return fn(self, payload, *args, **kwargs)
+        if batch:
+            payload = list(payload)
+        base = f"codec.{self.name}.{op}"
+        bytes_in = sum(map(_nbytes, payload)) if batch else _nbytes(payload)
+        with trace(base, nbytes=bytes_in):
+            result = fn(self, payload, *args, **kwargs)
+        bytes_out = sum(map(_nbytes, result)) if batch else _nbytes(result)
+        REGISTRY.counter(base + ".bytes_in").add(bytes_in)
+        REGISTRY.counter(base + ".bytes_out").add(bytes_out)
+        # payload bytes are the uncompressed side in both directions
+        REGISTRY.timer(base).add_bytes(bytes_in if op == "compress" else bytes_out)
+        return result
+
+    return wrapper
 
 
 def capture_state() -> dict | None:

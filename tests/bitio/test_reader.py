@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bitio import BitReader, BitWriter
+from repro.bitio import BitReader, BitWriter, FieldScanner
 from repro.errors import FormatError, ParameterError
 
 
@@ -87,3 +87,19 @@ def test_read_zero_count_array():
     r = BitReader(b"\x00")
     out = r.read_uint_array(0, 7)
     assert out.size == 0 and r.pos == 0
+
+
+def test_field_scanner_confine_addresses_and_bounds_one_range():
+    """A confined scanner reads one stream of a shared buffer as if alone:
+    offsets from the range's first bit, bounds at the range's end."""
+    sc = FieldScanner(bytes([0xAB, 0xCD, 0xEF, 0x12]))
+    sc.confine(1, 2)  # bytes 0xCD 0xEF
+    assert (sc.pos, sc.nbits) == (0, 16)
+    assert sc.read(8) == 0xCD
+    assert sc.count_ones(8) == bin(0xEF).count("1")
+    with pytest.raises(FormatError, match="need 1 bits at offset 16, have 0"):
+        sc.read(1)  # 0x12 follows in the buffer but lies outside the range
+    sc.confine(3, 1, pos=4)
+    assert sc.read(4) == 0x2
+    with pytest.raises(ParameterError):
+        sc.confine(3, 2)  # past the end of the buffer

@@ -6,6 +6,7 @@ import pytest
 from repro.bitio.vlc import (
     decode_prefix_stream,
     gather_bit_windows,
+    gather_bit_windows_var,
     sliding_windows_u16,
     token_start_positions,
 )
@@ -88,3 +89,21 @@ def test_sliding_windows_match_gather(rng):
 def test_sliding_windows_rejects_wide_window():
     with pytest.raises(FormatError):
         sliding_windows_u16(np.zeros(8, dtype=np.uint8), 17)
+
+
+def test_packed_windows_up_to_64_bits(rng):
+    """Windows of any width to 64 bits at any bit offset, one call mixing
+    narrow and wide ones (a wide window is read as two halves)."""
+    bits = (rng.random(400) < 0.5).astype(np.uint8)
+    by = np.concatenate([np.packbits(bits), np.zeros(8, dtype=np.uint8)])
+    offsets = rng.integers(0, 400 - 64, size=64)
+    widths = np.concatenate([rng.integers(0, 65, size=60), [0, 57, 58, 64]])
+    got = gather_bit_windows_var(by, offsets, widths)
+    want = [int("".join(map(str, bits[o : o + w])) or "0", 2) for o, w in zip(offsets, widths)]
+    assert got.tolist() == want
+
+
+def test_packed_windows_reject_wider_than_64():
+    by = np.zeros(16, dtype=np.uint8)
+    with pytest.raises(FormatError):
+        gather_bit_windows_var(by, np.array([0]), np.array([65]))

@@ -120,3 +120,44 @@ def test_corrupt_neighbor_does_not_fail_a_healthy_get(rng):
     assert keys[1] not in store._hot_arrays
     with pytest.raises(FormatError):
         store.get(keys[1])  # the error surfaces where the key is read
+
+
+def _zipf_store(rng, n_keys, **kwargs):
+    """``n_keys`` (dd|dd) blocks behind the ``pastri serve`` store defaults."""
+    codec = PaSTRICompressor(dims=(6, 6, 6, 6))
+    blocks = [make_patterned_stream(rng, n_blocks=1, zero_blocks=0) for _ in range(n_keys)]
+    store = CompressedERIStore(codec, EB, hot_cache_bytes=4 << 20, readahead_depth=2)
+    for key, (block, blob) in enumerate(zip(blocks, codec.compress_many(blocks, EB))):
+        store.put_blob(key, blob, block.nbytes, dims=(6, 6, 6, 6))
+    return store
+
+
+def test_readahead_backs_off_when_random_keys_waste_it(rng):
+    """6000 Zipf(1.1) gets (numpy's unbounded draws folded onto 520 keys,
+    popularity shuffled): a miss's neighbours are mostly not read before
+    they leave the tier, so once the recent prefetches measure inaccurate,
+    readahead stops, but for a probe every 16th miss."""
+    n_keys = 520
+    store = _zipf_store(rng, n_keys)
+    keys = rng.permutation(n_keys)[(rng.zipf(1.1, size=6000) - 1) % n_keys]
+    for key in keys[:1000]:  # warm-up: fill the tier, measure the accuracy
+        store.get(int(key))
+    st = store.stats
+    issued, misses = st.readahead_issued, st.cache_misses
+    for key in keys[1000:]:
+        store.get(int(key))
+    issued, misses = st.readahead_issued - issued, st.cache_misses - misses
+    assert misses > 300
+    assert issued < 0.10 * misses
+
+
+def test_sequential_sweeps_keep_their_prefetches(rng):
+    """Sweeps over more keys than the tier holds: every prefetch is read
+    next, so readahead keeps issuing ``depth`` per miss."""
+    store, _ = make_store(rng, range(120), depth=2, blocks=40)
+    for _ in range(3):
+        for key in range(120):
+            store.get(key)
+    st = store.stats
+    assert st.readahead_issued >= 1.5 * st.cache_misses
+    assert st.readahead_useful >= 0.95 * st.readahead_issued

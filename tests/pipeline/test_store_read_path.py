@@ -24,7 +24,8 @@ TIMEOUT_S = 10.0
 
 
 class HeldCodec(PaSTRICompressor):
-    """Blocks the decode of one chosen blob until the test releases it."""
+    """Blocks the decode of one chosen blob, alone or in a batch, until the
+    test releases it."""
 
     def __init__(self) -> None:
         super().__init__(dims=DIMS)
@@ -35,12 +36,20 @@ class HeldCodec(PaSTRICompressor):
     def hold(self, blob) -> None:
         self.held = bytes(blob)
 
-    def decompress(self, blob):
-        if self.held is not None and bytes(blob) == self.held:
+    def _wait_if_held(self, blobs) -> None:
+        if self.held is not None and any(bytes(b) == self.held for b in blobs):
             self.entered.set()
             # outlasts every join below, so a blocked reader is what fails
             assert self.release.wait(3 * TIMEOUT_S), "held decode never released"
+
+    def decompress(self, blob):
+        self._wait_if_held([blob])
         return super().decompress(blob)
+
+    def decompress_many(self, blobs):
+        blobs = list(blobs)
+        self._wait_if_held(blobs)
+        return super().decompress_many(blobs)
 
 
 def filled_store(rng, n, **kwargs):

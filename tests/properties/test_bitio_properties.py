@@ -109,7 +109,7 @@ def test_count_ones_and_windows_match_bits(chunks, skew):
     by = np.concatenate([np.frombuffer(data, dtype=np.uint8), np.zeros(8, dtype=np.uint8)])
     rng = np.random.default_rng(len(data) * 8 + skew)
     offsets = rng.integers(0, bits.size + 1, size=32)
-    widths = np.minimum(rng.integers(0, 49, size=32), bits.size - offsets)
+    widths = np.minimum(rng.integers(0, 65, size=32), bits.size - offsets)
     padded = np.concatenate([bits, np.zeros(64, dtype=np.uint8)])
     ref = np.array(
         [int("".join(map(str, padded[o : o + w])) or "0", 2) for o, w in zip(offsets, widths)],

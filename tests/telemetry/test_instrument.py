@@ -151,3 +151,36 @@ def test_instrumentation_survives_enable_disable_cycles(rng):
     finally:
         telemetry.disable()
         telemetry.reset()
+
+
+def test_batch_calls_count_their_bytes_once(telemetry_on, rng):
+    """compress_many / decompress_many record under the one-item metric
+    names, one span per call, and each byte exactly once."""
+    codec = PaSTRICompressor(dims=DIMS)
+    streams = [make_patterned_stream(rng, n_blocks=k) for k in (1, 2, 3)]
+    blobs = codec.compress_many(streams, EB)
+    outs = codec.decompress_many(blobs)
+    codec.decompress(blobs[0])  # the one-blob case of the same code
+    raw = sum(s.nbytes for s in streams)
+    packed = sum(map(len, blobs))
+    assert REGISTRY.counter("codec.pastri.compress.bytes_in").value == raw
+    assert REGISTRY.counter("codec.pastri.compress.bytes_out").value == packed
+    assert REGISTRY.counter("codec.pastri.decompress.bytes_in").value == packed + len(blobs[0])
+    assert REGISTRY.counter("codec.pastri.decompress.bytes_out").value == (
+        sum(o.nbytes for o in outs) + outs[0].nbytes
+    )
+    assert REGISTRY.timer("codec.pastri.compress").count == 1
+    assert REGISTRY.timer("codec.pastri.decompress").count == 2
+
+
+def test_lowrank_compress_many_is_one_call_with_each_byte_once(telemetry_on, rng):
+    from repro.lowrank import LowRankCompressor
+
+    codec = LowRankCompressor(dims=DIMS)
+    streams = [make_patterned_stream(rng, n_blocks=2) for _ in range(3)]
+    blobs = codec.compress_many(streams, EB)
+    assert REGISTRY.counter("codec.lowrank.compress.bytes_in").value == sum(
+        s.nbytes for s in streams
+    )
+    assert REGISTRY.counter("codec.lowrank.compress.bytes_out").value == sum(map(len, blobs))
+    assert REGISTRY.timer("codec.lowrank.compress").count == 1  # one span per call
