@@ -56,9 +56,9 @@ def _subprocess_env() -> dict:
 
 
 def container_roundtrip(data: np.ndarray) -> None:
-    npy = tempfile.mktemp(suffix=".npy")
-    pstf = tempfile.mktemp(suffix=".pstf")
-    try:
+    with tempfile.TemporaryDirectory() as tmp:
+        npy = os.path.join(tmp, "batch.npy")
+        pstf = os.path.join(tmp, "batch.pstf")
         np.save(npy, data)
         subprocess.run(
             [sys.executable, "-m", "repro.cli", "pack", npy, pstf,
@@ -74,10 +74,6 @@ def container_roundtrip(data: np.ndarray) -> None:
         assert max_err <= EB, f"container bound violated: {max_err} > {EB}"
         assert ratio >= MIN_RATIO, f"container ratio {ratio:.1f} < {MIN_RATIO}"
         print(f"container ok: ratio {ratio:.1f}x, max err {max_err:.2e} <= {EB:g}")
-    finally:
-        for p in (npy, pstf):
-            if os.path.exists(p):
-                os.unlink(p)
 
 
 def service_roundtrip(data: np.ndarray) -> int:

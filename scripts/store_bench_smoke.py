@@ -47,8 +47,7 @@ def make_blocks():
     return [rng.standard_normal(BLOCK) * 1e-7 for _ in range(N_BLOCKS)]
 
 
-def run(tag, blocks, backend_kwargs, **store_kwargs):
-    path = tempfile.mktemp(suffix=".pstf")
+def run(tag, path, blocks, backend_kwargs, **store_kwargs):
     store = CompressedERIStore(
         PaSTRICompressor(dims=DIMS),
         EB,
@@ -76,33 +75,34 @@ def run(tag, blocks, backend_kwargs, **store_kwargs):
             f"  {tag:<12} {dt * 1e3:7.0f} ms  {result['mb_s']:7.1f} MB/s  "
             f"{st.disk_reads:5d} disk reads  ratio {st.ratio:.2f}"
         )
-        return result, store, path
+        return result, store
     except BaseException:
         store.close()
-        _cleanup(path)
         raise
 
 
-def _cleanup(path):
-    for leftover in (path, path + ".journal", path + ".tmp"):
-        if os.path.exists(leftover):
-            os.unlink(leftover)
-
-
 def main() -> int:
+    # the spill files, their journals and any compaction .tmp go with it
+    with tempfile.TemporaryDirectory() as tmp:
+        return gate(tmp)
+
+
+def gate(tmp) -> int:
     blocks = make_blocks()
     print(f"spill workload: {N_BLOCKS} blocks x {N_USES} uses, 16 KB blob budget")
 
-    baseline, b_store, b_path = run(
+    baseline, b_store = run(
         "baseline-lru",
+        os.path.join(tmp, "baseline.pstf"),
         blocks,
         {"policy": "lru", "use_mmap": False, "retain_spills": False},
     )
     b_store.close()
-    _cleanup(b_path)
 
-    overhauled, store, path = run(
+    path = os.path.join(tmp, "overhauled.pstf")
+    overhauled, store = run(
         "overhauled",
+        path,
         blocks,
         {"policy": "2q", "use_mmap": True},
         hot_cache_bytes=2 << 20,
@@ -131,7 +131,7 @@ def main() -> int:
 
     # compaction: orphan half the frames, rewrite, and require every block
     # to survive — through the live store and through a fresh recovery
-    try:
+    with store:
         for i in range(0, N_BLOCKS, 2):
             store.put(i, blocks[i], dims=DIMS)
         reclaimed = store.compact()
@@ -142,24 +142,21 @@ def main() -> int:
             if np.max(np.abs(store.get(i) - b)) > EB:
                 failures.append(f"block {i} out of bound after compaction")
                 break
-        store.close()
-        fresh = CompressedERIStore(
-            PaSTRICompressor(dims=DIMS),
-            EB,
-            backend=ContainerBackend(path, memory_budget_bytes=16 << 10),
-        )
-        with fresh:
-            if fresh.stats.recovered != N_BLOCKS:
-                failures.append(
-                    f"recovery after compaction found {fresh.stats.recovered} "
-                    f"frames, expected {N_BLOCKS}"
-                )
-            for i, b in enumerate(blocks):
-                if np.max(np.abs(fresh.get(i) - b)) > EB:
-                    failures.append(f"block {i} corrupt in recovered store")
-                    break
-    finally:
-        _cleanup(path)
+    fresh = CompressedERIStore(
+        PaSTRICompressor(dims=DIMS),
+        EB,
+        backend=ContainerBackend(path, memory_budget_bytes=16 << 10),
+    )
+    with fresh:
+        if fresh.stats.recovered != N_BLOCKS:
+            failures.append(
+                f"recovery after compaction found {fresh.stats.recovered} "
+                f"frames, expected {N_BLOCKS}"
+            )
+        for i, b in enumerate(blocks):
+            if np.max(np.abs(fresh.get(i) - b)) > EB:
+                failures.append(f"block {i} corrupt in recovered store")
+                break
 
     if failures:
         print("store-bench-smoke: FAIL")

@@ -47,8 +47,8 @@ def measure_container_io(
     )
 
     ds = standard_dataset("trialanine", "(dd|dd)", size)
-    tmp = path or tempfile.mktemp(suffix=".pstf")
-    try:
+    with tempfile.TemporaryDirectory() as scratch:
+        tmp = path or os.path.join(scratch, "dump.pstf")
         t0 = time.perf_counter()
         summary = parallel_compress_to_container(
             "pastri",
@@ -65,9 +65,6 @@ def measure_container_io(
         out = parallel_decompress_container(tmp, n_workers)
         load_s = time.perf_counter() - t0
         assert out.size == ds.data.size
-    finally:
-        if path is None and os.path.exists(tmp):
-            os.unlink(tmp)
     return {
         "n_workers": n_workers,
         "n_frames": summary.n_chunks,

@@ -138,18 +138,37 @@ def _compress_group(
     return blobs, telemetry.capture_state()
 
 
-def _decompress_blob(blob) -> tuple[tuple, dict | None]:
-    """Decompress one blob; big results ship back through shared memory."""
-    if isinstance(blob, shm.BytesRef):
-        blob = bytes(shm.attach_bytes(blob))
-    out = _WORKER_CODEC.decompress(blob)
+def _decompress_share(blobs: list) -> tuple[list[tuple], dict | None]:
+    """Decompress one worker's share of a batch in one ``decompress_many``
+    call; each big result ships back through shared memory, in blob order."""
+    blobs = [bytes(shm.attach_bytes(b)) if isinstance(b, shm.BytesRef) else b for b in blobs]
+    outs = api.decompress_many(_WORKER_CODEC, blobs)
+    return [_ship(out) for out in outs], telemetry.capture_state()
+
+
+def _ship(out: np.ndarray) -> tuple:
+    """``("shm", ref)`` for a result worth shared memory, else ``("raw", out)``."""
     if shm.shm_available() and out.nbytes >= shm.SHIP_MIN_BYTES:
         try:
-            return ("shm", shm.ship_array(out)), telemetry.capture_state()
+            return ("shm", shm.ship_array(out))
         except OSError:  # pragma: no cover - /dev/shm exhausted mid-flight
             pass
     shm.count_copied(out.nbytes)
-    return ("raw", out), telemetry.capture_state()
+    return ("raw", out)
+
+
+def _shares(sizes: list[int], n: int) -> list[tuple[int, int]]:
+    """Cut items of ``sizes`` into at most ``n`` contiguous, non-empty runs
+    of about equal total size; returns ``[(start, stop), ...]``."""
+    total = sum(sizes)
+    bounds = [0]
+    acc = 0
+    for i, size in enumerate(sizes[:-1]):
+        acc += size
+        if len(bounds) < n and acc * n >= total * len(bounds):
+            bounds.append(i + 1)
+    bounds.append(len(sizes))
+    return list(zip(bounds, bounds[1:]))
 
 
 # -- container-load worker state: codecs by spec, mmaps by path -------------
@@ -318,22 +337,33 @@ class CodecWorkerPool:
                 lease.release()
 
     def decompress_batch(self, blobs: Sequence[bytes]) -> list[np.ndarray]:
-        """Decompress blobs in parallel; arrays in blob order."""
+        """Decompress blobs in parallel; arrays in blob order.
+
+        Each worker decodes one contiguous share of the blobs, balanced by
+        bytes, in one ``decompress_many`` call, so the codec's per-call
+        cost is paid once per worker.  A corrupt blob raises the error it
+        raises alone.
+        """
         blobs = list(blobs)
+        if not blobs:
+            return []
         lease = self._lease(sum(len(b) for b in blobs))
         if lease is None:
             for b in blobs:
                 shm.count_copied(len(b))
-            tasks = blobs
+            refs = blobs
         else:
-            tasks = [lease.put_bytes(b) for b in blobs]
+            refs = [lease.put_bytes(b) for b in blobs]
+        tasks = [refs[lo:hi] for lo, hi in _shares([len(b) for b in blobs], self.n_workers)]
         try:
-            results = self._map(_decompress_blob, tasks)
+            shares = self._map(_decompress_share, tasks)
         finally:
             if lease is not None:
                 lease.release()
         return [
-            shm.adopt_array(val) if kind == "shm" else val for kind, val in results
+            shm.adopt_array(val) if kind == "shm" else val
+            for share in shares
+            for kind, val in share
         ]
 
     def close(self) -> None:

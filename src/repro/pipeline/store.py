@@ -12,6 +12,13 @@ hot set in memory and spills colder blobs to a PSTF-v2 container on disk
 (:mod:`repro.streamio`), so stores larger than RAM keep working; its spill
 file finalizes into a valid container on close.
 
+The write path pays the codec's per-call cost once per batch: ``put``
+checks its block and stages a copy, and the stage is compressed with one
+``compress_many`` call per geometry once it outgrows ~1 MiB (or the blob
+tier's budget), or as soon as anything reads blobs or counters.  The blobs
+then enter the tiers in put order, as if each ``put`` had compressed its
+own block.
+
 The read path is built for SCF/MP2 traffic, which re-reads far more blocks
 than fit in memory and interleaves the reuse with one-off full scans:
 
@@ -108,6 +115,10 @@ _READAHEAD_FLOOR = 0.5
 #: below the floor, every this-many-th miss still prefetches one candidate,
 #: so the window sees when the access pattern turns predictable again
 _READAHEAD_PROBE_EVERY = 16
+#: the write stage is compressed once its raw bytes exceed this, or the
+#: blob tier's budget when that is smaller: 2^17 float64 values, the
+#: ``PLANAR_CHUNK`` the PaSTRI kernels batch by
+_STAGE_BYTES = 1 << 20
 
 
 @dataclass
@@ -742,14 +753,17 @@ class CompressedERIStore:
     the SCF working set.
 
     The store is **thread-safe**: one reentrant lock serializes backend
-    mutations, cache updates, and stats bumps.  No decode holds it:
+    mutations, cache updates, and stats bumps.  No codec call holds it:
     :meth:`get` and :meth:`get_many` share one read sequence that claims
     each array-tier miss (and a ``get``'s readahead candidates) under the
     lock, decodes them outside it in one call, and admits the results
     under it again.  Concurrent readers of a claimed
     key wait on the one in-flight decode instead of repeating it, readers
     of other keys decode in parallel, and a ``put`` racing a decode keeps
-    the stale array out of the tier.
+    the stale array out of the tier.  Writes mirror that: :meth:`_flush`
+    claims the staged keys under the lock, compresses them outside it, and
+    admits the blobs under it again; a reader of a key in flight waits for
+    it, and a later write of the key lands after it.
     """
 
     codec: Codec
@@ -760,7 +774,6 @@ class CompressedERIStore:
     #: keys to speculatively decode after an array-tier miss (0 = off)
     readahead_depth: int = 0
     _shaped: dict = field(default_factory=dict, repr=False)
-    stats: StoreStats = field(default_factory=StoreStats)
     _hot_arrays: SegmentedCache | None = field(default=None, repr=False)
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
@@ -771,7 +784,16 @@ class CompressedERIStore:
             self._hot_arrays = SegmentedCache(
                 self.hot_cache_bytes, sizeof=lambda a: a.nbytes
             )
+        self._stats = StoreStats()
         self._cond = threading.Condition(self._lock)
+        # the write stage: checked ``(key, block, dims)`` puts in put order
+        self._stage: list = []
+        self._stage_keys: dict = {}  # keys in the stage (an ordered set)
+        self._stage_bytes = 0
+        self._stage_limit = min(
+            _STAGE_BYTES, getattr(self.backend, "memory_budget_bytes", _STAGE_BYTES)
+        )
+        self._flushing: dict = {}  # claimed keys: a flush is in flight
         self._decoding: set = set()  # claimed keys: a decode is in flight
         self._decode_stale: set = set()  # claimed keys overwritten by a put
         self._computing: set = set()  # keys with a get_or_compute in flight
@@ -785,9 +807,16 @@ class CompressedERIStore:
         self._last_key = None  # previous accessed key (sequence profile)
         bind = getattr(self.backend, "bind", None)
         if bind is not None:
-            bind(self.codec, self.error_bound, self.stats)
+            bind(self.codec, self.error_bound, self._stats)
         else:
-            self.backend.stats = self.stats
+            self.backend.stats = self._stats
+
+    @property
+    def stats(self) -> StoreStats:
+        """The store's :class:`StoreStats`, read after the write stage is
+        compressed, so every put that returned is counted."""
+        self._flush()
+        return self._stats
 
     def codec_for(self, dims) -> Codec:
         """Per-geometry codec dispatch.
@@ -811,14 +840,27 @@ class CompressedERIStore:
         return codec
 
     def put(self, key, block: np.ndarray, dims=None) -> None:
-        """Compress and store one block (overwrites an existing key).
+        """Stage one block for compression (overwrites an existing key).
 
         ``dims`` optionally gives the block's 4-D shell geometry so PaSTRI
-        uses the right sub-block split (see :meth:`codec_for`).
+        uses the right sub-block split (see :meth:`codec_for`).  The block
+        is checked here, so bad input raises at ``put``, and a copy of it
+        joins the write stage, so the caller may reuse its buffer.  The
+        stage is compressed by :meth:`_flush`, here once it is full.
         """
-        blob = self.codec_for(dims).compress(block, self.error_bound)
+        api.validate_error_bound(self.error_bound)
+        arr = api.validate_input(np.array(block, dtype=np.float64))
         dims_t = None if dims is None else tuple(int(d) for d in dims)
-        self._put_blob(key, blob, block.nbytes, dims_t)
+        self.codec_for(dims_t)
+        check_frame_entry(arr.size, json.dumps(key), dims_t)
+        with self._lock:
+            self._supersede(key)
+            self._stage.append((key, arr, dims_t))
+            self._stage_keys[key] = None
+            self._stage_bytes += arr.nbytes
+            full = self._stage_bytes > self._stage_limit
+        if full:
+            self._flush(())
 
     def put_blob(self, key, blob: bytes, nbytes: int, dims=None) -> None:
         """Insert an already-compressed blob verbatim (replica transfer).
@@ -827,42 +869,114 @@ class CompressedERIStore:
         decodes to.  The cluster's hinted-handoff drain moves blocks
         between shards with this + :meth:`get_blob` so a drained replica
         is **byte-identical** to its source — no lossy decode/re-encode
-        cycle in the middle.
+        cycle in the middle.  The write stage enters first, so the blob
+        wins over an earlier ``put`` of the key.
         """
         dims_t = None if dims is None else tuple(int(d) for d in dims)
-        self._put_blob(key, bytes(blob), int(nbytes), dims_t)
+        nbytes = int(nbytes)
+        check_frame_entry(nbytes // 8, json.dumps(key), dims_t)
+        self._flush((key,))
+        with self._lock:
+            self._admit_blob(key, bytes(blob), nbytes, dims_t)
 
     def get_blob(self, key) -> tuple[bytes, int, tuple[int, ...] | None]:
         """The raw compressed entry ``(blob, original_nbytes, dims)``.
 
         Raises ``KeyError`` for unknown keys; no decompression happens.
         """
+        self._flush((key,))
         with self._lock:
             entry = self.backend.get(key)
         return entry.blob, entry.nbytes, entry.dims
 
-    def _put_blob(self, key, blob: bytes, nbytes: int, dims) -> None:
-        """Insert a ready-made blob (the load/restore path skips compression)."""
-        check_frame_entry(nbytes // 8, json.dumps(key), dims)
-        with self._lock:
-            prev = self.backend.put(key, _Entry(blob, nbytes, dims))
-            if prev is not None:
-                prev_len, prev_nbytes = prev
-                self.stats.bump("compressed_bytes", -prev_len)
-                self.stats.bump("original_bytes", -prev_nbytes)
-                self.stats.bump("n_entries", -1)
-            if self._hot_arrays is not None:
-                dropped = self._hot_arrays.pop(key)
-                if dropped is not None:
-                    self._hot_array_bytes -= dropped.nbytes
-                    self.stats.hot_bytes = self._hot_array_bytes
-                self._prefetched.discard(key)
-            if key in self._decoding:
-                self._decode_stale.add(key)  # in-flight decode is now stale
-            self.stats.bump("n_entries")
-            self.stats.bump("puts")
-            self.stats.bump("original_bytes", nbytes)
-            self.stats.bump("compressed_bytes", len(blob))
+    def _supersede(self, key) -> None:
+        """Under the lock: a new value of ``key`` is on its way.  Drop its
+        array-tier entry and mark an in-flight decode of it stale."""
+        if self._hot_arrays is not None:
+            dropped = self._hot_arrays.pop(key)
+            if dropped is not None:
+                self._hot_array_bytes -= dropped.nbytes
+                self._stats.hot_bytes = self._hot_array_bytes
+            self._prefetched.discard(key)
+        if key in self._decoding:
+            self._decode_stale.add(key)
+
+    def _admit_blob(self, key, blob: bytes, nbytes: int, dims) -> None:
+        """Under the lock: store a checked blob and account for it."""
+        prev = self.backend.put(key, _Entry(blob, nbytes, dims))
+        if prev is not None:
+            prev_len, prev_nbytes = prev
+            self._stats.bump("compressed_bytes", -prev_len)
+            self._stats.bump("original_bytes", -prev_nbytes)
+            self._stats.bump("n_entries", -1)
+        self._supersede(key)
+        self._stats.bump("n_entries")
+        self._stats.bump("puts")
+        self._stats.bump("original_bytes", nbytes)
+        self._stats.bump("compressed_bytes", len(blob))
+
+    # -- write stage -----------------------------------------------------------
+
+    def _flush(self, keys=None) -> None:
+        """The store's one compress site: compress the write stage and admit
+        its blobs, then wait out other threads' flushes of ``keys`` (of
+        every key when ``keys`` is None).
+
+        The stage is taken once no in-flight flush holds one of its keys,
+        so the flushes of one key admit in put order.  Its blocks are
+        compressed outside the lock, one ``compress_many`` call per
+        geometry, and each blob enters through :meth:`_admit_blob` under
+        the lock, in put order.  An error on the way (a codec fault, which
+        the checks in :meth:`put` leave none of to the built-in codecs, or
+        a spill the disk refuses) reaches the caller that flushed, and the
+        blocks not yet admitted are dropped.
+        """
+        with self._cond:
+            while self._flushing and not self._flushing.keys().isdisjoint(
+                self._stage_keys
+            ):
+                self._cond.wait()
+            batch, claimed = self._stage, self._stage_keys
+            self._stage, self._stage_keys, self._stage_bytes = [], {}, 0
+            self._flushing.update(claimed)
+        if batch:
+            blobs: list = []
+            try:
+                blobs = self._compress(batch)
+            finally:
+                with self._cond:
+                    try:
+                        for (key, block, dims), blob in zip(batch, blobs):
+                            self._admit_blob(key, blob, block.nbytes, dims)
+                    finally:
+                        for key in claimed:
+                            del self._flushing[key]
+                        self._cond.notify_all()
+        if keys is None or keys:
+            with self._cond:
+                while self._flushing and (
+                    keys is None or not self._flushing.keys().isdisjoint(keys)
+                ):
+                    self._cond.wait()
+
+    def _compress(self, batch: list) -> list[bytes]:
+        """Blobs of staged ``(key, block, dims)`` items, in order: one
+        ``compress_many`` call per geometry."""
+        by_dims: dict = {}
+        for i, (_key, _block, dims) in enumerate(batch):
+            by_dims.setdefault(dims, []).append(i)
+        blobs: list = [None] * len(batch)
+        for dims, idx in by_dims.items():
+            out = api.compress_many(
+                self.codec_for(dims), [batch[i][1] for i in idx], self.error_bound
+            )
+            for i, blob in zip(idx, out):
+                blobs[i] = blob
+        return blobs
+
+    def _known(self, key) -> bool:
+        """Under the lock: whether ``key`` is stored, staged or in flight."""
+        return key in self._stage_keys or key in self._flushing or key in self.backend
 
     # -- array tier ------------------------------------------------------------
 
@@ -872,12 +986,12 @@ class CompressedERIStore:
         self._hot_array_bytes += arr.nbytes
         for gone, gone_arr in self._hot_arrays.put(key, arr):
             self._hot_array_bytes -= gone_arr.nbytes
-            self.stats.bump("array_evictions")
+            self._stats.bump("array_evictions")
             if gone in self._prefetched:
                 self._prefetched.discard(gone)
-                self.stats.bump("readahead_wasted")
+                self._stats.bump("readahead_wasted")
                 self._readahead_outcomes.append(0)
-        self.stats.hot_bytes = self._hot_array_bytes
+        self._stats.hot_bytes = self._hot_array_bytes
 
     def _note_access(self, key) -> None:
         """Feed the per-key access-sequence profile that drives readahead."""
@@ -885,7 +999,7 @@ class CompressedERIStore:
         self._last_key = key
         if prev is None or prev == key:
             return
-        profile = self.stats.seq_profile
+        profile = self._stats.seq_profile
         if len(profile) > _PROFILE_MAX_KEYS:
             profile.clear()  # runaway key space; restart the profile
         succ = profile.setdefault(prev, {})
@@ -916,10 +1030,11 @@ class CompressedERIStore:
 
         Feeds the access-sequence profile.  A miss claims its readahead
         candidates in the same lock hold and decodes them with it, in one
-        decode call.
+        decode call.  The write stage is compressed first.
         """
+        self._flush((key,))
         with self._cond:
-            self.stats.bump("gets")
+            self._stats.bump("gets")
             self._note_access(key)
             hits, claims = self._claim([key])
             if hits:
@@ -940,8 +1055,9 @@ class CompressedERIStore:
         ``KeyError`` on the first unknown key, before any decode runs.
         """
         keys = list(keys)
+        self._flush(keys)
         with self._cond:
-            self.stats.bump("gets", len(keys))
+            self._stats.bump("gets", len(keys))
             hits, claims = self._claim(keys)
         found = dict(zip(claims, self._decode_and_admit(claims, n_workers)))
         found.update(hits)
@@ -961,7 +1077,7 @@ class CompressedERIStore:
         if self.readahead_depth <= 0 or self._hot_arrays is None:
             return claims
         budget = self._readahead_budget()
-        succ = self.stats.seq_profile.get(key, {})
+        succ = self._stats.seq_profile.get(key, {})
         candidates = sorted(succ, key=succ.get, reverse=True)
         candidates.extend(self._class_adjacent(key))
         for cand in dict.fromkeys(candidates):
@@ -1008,15 +1124,15 @@ class CompressedERIStore:
         for key in keys:
             hit = None if self._hot_arrays is None else self._hot_arrays.get(key)
             if hit is not None:
-                self.stats.bump("cache_hits")
+                self._stats.bump("cache_hits")
                 if key in self._prefetched:
                     self._prefetched.discard(key)
-                    self.stats.bump("readahead_useful")
+                    self._stats.bump("readahead_useful")
                     self._readahead_outcomes.append(1)
                 hits[key] = hit
                 continue
             if self._hot_arrays is not None:
-                self.stats.bump("cache_misses")
+                self._stats.bump("cache_misses")
             if key not in claims:
                 claims[key] = self.backend.get(key).blob  # KeyError if unknown
         if self._hot_arrays is not None:  # no tier, nothing to admit
@@ -1060,7 +1176,7 @@ class CompressedERIStore:
                     self._admit_array(key, arr)
                     if key in speculative:
                         self._prefetched.add(key)
-                        self.stats.bump("readahead_issued")
+                        self._stats.bump("readahead_issued")
                 self._cond.notify_all()
         return arrays
 
@@ -1088,7 +1204,7 @@ class CompressedERIStore:
         claimed = False
         with self._cond:
             while True:
-                if key in self.backend:
+                if self._known(key):
                     break
                 if key not in self._computing:
                     self._computing.add(key)
@@ -1098,12 +1214,7 @@ class CompressedERIStore:
         if not claimed:
             return self.get(key)
         try:
-            block = np.asarray(compute(), dtype=np.float64)
-            if block.ndim != 1:
-                block = block.ravel()
-            if block.size == 0:
-                raise ParameterError("computed block is empty")
-            self.put(key, block, dims=dims)
+            self.put(key, compute(), dims=dims)
         finally:
             with self._cond:
                 self._computing.discard(key)
@@ -1190,6 +1301,7 @@ class CompressedERIStore:
         the blob tier's admission filter treats it as the one-time sweep
         it is.)
         """
+        self._flush()
         with self._lock:
             with ContainerWriter.create(
                 str(path),
@@ -1239,23 +1351,29 @@ class CompressedERIStore:
                 if f.key is None:
                     raise ParameterError(f"frame {i} in {path!r} has no key")
                 key = _revive_key(json.loads(f.key))
-                store._put_blob(key, r.read_blob(i), f.n_elements * 8, f.dims)
+                store.put_blob(key, r.read_blob(i), f.n_elements * 8, f.dims)
         # a freshly loaded store has served no traffic yet
-        store.stats.puts = 0
+        store._stats.puts = 0
         return store
 
     def close(self) -> None:
-        """Release backend resources (finalizes a spill container's footer)."""
-        with self._lock:
-            self.backend.close()
+        """Compress the write stage, then release backend resources
+        (finalizes a spill container's footer)."""
+        try:
+            self._flush()
+        finally:
+            with self._lock:
+                self.backend.close()
 
     def abort(self) -> None:
         """Crash simulation: drop everything unflushed, close descriptors.
 
+        The write stage is dropped, as a killed process loses it.
         Delegates to :meth:`ContainerBackend.abort` when the backend has
         one; a memory backend simply closes (nothing is durable anyway).
         """
         with self._lock:
+            self._stage, self._stage_keys, self._stage_bytes = [], {}, 0
             aborter = getattr(self.backend, "abort", None)
             if aborter is not None:
                 aborter()
@@ -1268,17 +1386,25 @@ class CompressedERIStore:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
+    # ``in``, ``len`` and ``keys`` count staged keys without compressing them
+
     def __contains__(self, key) -> bool:
         with self._lock:
-            return key in self.backend
+            return self._known(key)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self.backend)
+            return len(self.backend) + len(self._unstored())
 
     def keys(self):
         with self._lock:
-            return list(self.backend.keys())
+            return list(self.backend.keys()) + self._unstored()
+
+    def _unstored(self) -> list:
+        """Under the lock: staged or in-flight keys the backend lacks."""
+        pending = dict.fromkeys(self._flushing)
+        pending.update(self._stage_keys)
+        return [k for k in pending if k not in self.backend]
 
 
 def _revive_key(key):

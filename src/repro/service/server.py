@@ -319,8 +319,9 @@ class CompressionServer(Endpoint):
     def _do_store_put(self, req_id, params: dict, payload: bytes) -> bytes:
         if "key" not in params:
             raise ParameterError("store.put requires a 'key' param")
-        # Borrow, don't copy: the store compresses the block without
-        # retaining it, and ``payload`` outlives the call.
+        # Borrow, don't copy: the store stages its own copy of the block.
+        # The put is acknowledged once staged; the stage is compressed by a
+        # later read, a full stage or a clean stop.
         data = protocol.payload_to_array(payload, params.get("n"), copy=False)
         self._count(BYTES_BORROWED, data.nbytes)
         key = _revive_key(params["key"])

@@ -7,7 +7,7 @@ import pytest
 
 import repro.parallel.pool as pool_mod
 from repro import api, telemetry
-from repro.errors import CompressionError, ParameterError
+from repro.errors import CompressionError, FormatError, ParameterError
 from repro.parallel.pool import (
     parallel_compress,
     parallel_decompress,
@@ -90,6 +90,58 @@ def test_other_codecs_work_in_pool(rng):
         blobs = parallel_compress(codec, data, 1e-10, 2, 1000)
         out = parallel_decompress(codec, blobs, 2)
         assert np.max(np.abs(out - data)) <= 1e-10
+
+
+def _mixed_blobs(rng):
+    """Eight PaSTRI blobs of 1 to 40 blocks over two geometries; with six
+    blocks the (dd|dd) results stay below the shared-memory threshold."""
+    blobs = []
+    for i, n_blocks in enumerate((1, 40, 3, 6, 2, 17, 1, 9)):
+        dims = (6, 6, 6, 6) if i % 2 else (3, 3, 6, 6)
+        data = make_patterned_stream(rng, n_blocks=n_blocks, dims=dims)
+        blobs.append(api.get_codec("pastri", dims=dims).compress(data, 1e-10))
+    return blobs
+
+
+@pytest.mark.parametrize("n_workers", [2, 3])
+def test_decompress_batch_is_bit_identical_to_decompress(rng, n_workers):
+    blobs = _mixed_blobs(rng)
+    codec = api.get_codec("pastri", dims=(6, 6, 6, 6))
+    with pool_mod.CodecWorkerPool("pastri", {"dims": [6, 6, 6, 6]}, n_workers) as p:
+        outs = p.decompress_batch(blobs)
+    assert len(outs) == len(blobs)
+    for blob, out in zip(blobs, outs):
+        alone = codec.decompress(blob)
+        assert out.dtype == alone.dtype and out.shape == alone.shape
+        assert np.array_equal(out.view(np.uint64), alone.view(np.uint64))
+
+
+def test_decompress_batch_corrupt_blob_raises_its_own_error(rng):
+    blobs = _mixed_blobs(rng)
+    blobs[5] = blobs[5][: len(blobs[5]) // 2]  # a truncated stream
+    codec = api.get_codec("pastri", dims=(6, 6, 6, 6))
+    with pytest.raises(FormatError) as alone:
+        codec.decompress(blobs[5])
+    with pool_mod.CodecWorkerPool("pastri", {"dims": [6, 6, 6, 6]}, 2) as p:
+        with pytest.raises(FormatError) as batch:
+            p.decompress_batch(blobs)
+    assert type(batch.value) is type(alone.value)
+    assert str(batch.value) == str(alone.value)
+
+
+@pytest.mark.parametrize(
+    ("sizes", "n", "shares"),
+    [
+        ([10, 10, 10, 10], 2, [(0, 2), (2, 4)]),
+        ([10, 10, 10, 10], 4, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        ([100, 1, 1], 2, [(0, 1), (1, 3)]),
+        ([1, 100, 1], 3, [(0, 2), (2, 3)]),
+        ([5, 5], 8, [(0, 1), (1, 2)]),
+        ([7], 2, [(0, 1)]),
+    ],
+)
+def test_shares_are_contiguous_and_balanced_by_bytes(sizes, n, shares):
+    assert pool_mod._shares(sizes, n) == shares
 
 
 def test_rejects_zero_workers(rng):

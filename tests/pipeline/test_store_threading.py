@@ -7,6 +7,7 @@ consistent with the operations performed — lost updates under the old
 unlocked implementation showed up precisely here.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -130,3 +131,61 @@ def test_get_or_compute_under_contention(store):
     # the coarse lock serializes the check-compute-put sequence
     assert len(calls) == 1
     assert store.stats.n_entries == 1
+
+
+@pytest.mark.parametrize(
+    "budget", [None, 512, 8192], ids=["memory", "flush-per-put", "staged-spill"]
+)
+def test_threads_putting_and_getting_the_same_keys(tmp_path, budget):
+    """Each key has one writer thread, which reads every put of it back at
+    once, while the other threads read the same keys: staged puts, their
+    flushes and the decodes interleave.  The writer must see its latest
+    put, and every other get some put of its key."""
+    n_keys, versions = 8, 10
+    rng = np.random.default_rng(99)
+    blocks = {
+        (k, v): make_patterned_stream(rng, n_blocks=1, dims=DIMS, zero_blocks=0)
+        for k in range(n_keys) for v in range(versions)
+    }
+    backend = None
+    if budget is not None:
+        backend = ContainerBackend(
+            str(tmp_path / "spill.pstf"), memory_budget_bytes=budget
+        )
+    store = CompressedERIStore(
+        PaSTRICompressor(dims=DIMS), error_bound=EB, backend=backend,
+        hot_cache_bytes=4 * BLOCK_NBYTES, readahead_depth=1,
+    )
+    for k in range(n_keys):
+        store.put(k, blocks[k, 0], dims=DIMS)
+    barrier = threading.Barrier(N_THREADS)
+    failures = []
+
+    def within(out, k, v) -> bool:
+        return bool(np.max(np.abs(out - blocks[k, v])) <= EB)
+
+    def worker(tid):
+        barrier.wait()
+        for v in range(1, versions):
+            for k in range(n_keys):
+                if k % N_THREADS == tid:
+                    store.put(k, blocks[k, v], dims=DIMS)
+                    if not within(store.get(k), k, v):
+                        failures.append(("own put not read back", k, v))
+                elif not any(within(store.get(k), k, u) for u in range(versions)):
+                    failures.append(("not a put of the key", k, v))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(N_THREADS) as ex:
+            list(ex.map(worker, range(N_THREADS)))
+    finally:
+        sys.setswitchinterval(old)
+
+    assert not failures, failures[:3]
+    assert store.stats.puts == n_keys * versions
+    assert store.stats.n_entries == len(store) == n_keys
+    for k in range(n_keys):
+        assert within(store.get(k), k, versions - 1)
+    store.close()

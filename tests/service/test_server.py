@@ -502,6 +502,7 @@ class TestAsyncClient:
             with ServiceClient(h.host, h.port) as c:
                 for key, block in blocks.items():
                     c.put(key, block)
+                c.stats()  # compresses the staged puts while the codec is fast
             codec.delay_s = 1.0
 
             async def main():
