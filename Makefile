@@ -37,7 +37,7 @@ bench:
 ## The CI telemetry gate: fails when telemetry-enabled compress/decompress
 ## is >10% slower than disabled (see benchmarks/overhead_check.py).
 overhead-check:
-	$(PY) -m benchmarks.overhead_check --reps 7 --threshold 0.10
+	$(PY) -m benchmarks.overhead_check --reps 21 --threshold 0.10
 
 ## End-to-end service check: boot `pastri serve` as a subprocess, round-trip
 ## through the client with the error bound asserted client-side, verify live

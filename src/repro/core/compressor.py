@@ -9,30 +9,34 @@ Compression pipeline per full-sized block:
    or fall back to verbatim storage if patterned coding would not pay,
 4. emit the bitstream (format in :mod:`repro.core.header`).
 
-Both directions run *batched*.  Compression is one fused numpy pass over
-all blocks with vectorised coding decisions; fixed-width fields move
-through one bit matrix per ``(kind, P_b, EC_b,max, sparse)`` class, and
-every dense ECQ segment is emitted in one planar pass.  Decompression
-batches across blobs as well as blocks: after a scalar index walk of each
-blob, one window gather per field family and one planar decode serve a
-whole group of blobs, with no per-class loop (:meth:`decompress_many`;
-:meth:`decompress` is its one-blob case).  The remaining Python loops
-only stage precomputed arrays (compress) or walk scalar header fields
-(the decompress index pass); see ``docs/ALGORITHM.md`` §"Batched
-execution".  The stream is version 2, whose planar dense layout holds the
-same codeword bits as version 1 in another order: blobs keep their
-length, and version-1 blobs still decode bit-identically.
+Both directions run *batched*.  Compression takes the whole blocks of all
+of a call's streams in chunks of at most :data:`PLANAR_CHUNK` tokens: a
+fused numpy front decides every block of a chunk, one prefix sum places
+them, and every field is added at its bit offset into one buffer of
+64-bit words for the whole call (:func:`repro.bitio.add_fields`), with no
+loop over classes, blocks or streams.  Decompression batches across blobs
+as well as blocks: after a scalar index walk of each blob, one window
+gather per field family and one planar decode serve a whole group of
+blobs, with no per-class loop (:meth:`decompress_many`; :meth:`decompress`
+is its one-blob case).  The remaining Python loops only gather the input
+streams (compress) or walk scalar header fields (the decompress index
+pass); see ``docs/ALGORITHM.md`` §"Batched execution".  The stream is
+version 2, whose planar dense layout holds the same codeword bits as
+version 1 in another order: blobs keep their length, and version-1 blobs
+still decode bit-identically.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro import api, telemetry
-from repro.bitio import BitWriter, FieldScanner, pack_uint_rows, uint_to_bits
+from repro.bitio import FieldScanner, add_fields
 from repro.bitio.vlc import gather_bit_windows_var
 from repro.core import header as fmt
-from repro.core.blocking import BlockSpec, split_blocks
+from repro.core.blocking import BlockSpec
 from repro.core.classify import BlockType
 from repro.core.quantize import (
     MAX_ECB,
@@ -48,8 +52,8 @@ from repro.core.trees import (
     PLANAR_CHUNK,
     TREE_IDS,
     ECQDecoder,
+    add_ecq_planar,
     decode_ecq_planar,
-    encode_ecq_planar,
     encoded_size_bits_batch,
     encoded_size_bits_from_moments,
     skip_planar_segment,
@@ -74,6 +78,32 @@ def _block_types(ecb: np.ndarray) -> np.ndarray:
         [BlockType.TYPE0, BlockType.TYPE1, BlockType.TYPE2],
         default=BlockType.TYPE3,
     )
+
+
+class _Front(NamedTuple):
+    """One chunk's coding decisions (:meth:`PaSTRICompressor._front`), per block."""
+
+    kinds: np.ndarray  # int8 fmt.KIND_*
+    bits: np.ndarray  # the block's size in the stream
+    p_b: np.ndarray
+    pq: np.ndarray  # (n, L)
+    sq: np.ndarray  # (n, M)
+    ecb: np.ndarray  # EC_b,max
+    sparse: np.ndarray  # bool: sparse ECQ (only where EC_b,max >= 2)
+    nol: np.ndarray  # nonzero ECQ count
+    ecq: np.ndarray  # (n, N) ECQ
+    dense_bits: np.ndarray
+    sparse_bits: np.ndarray
+    degenerate: np.ndarray
+
+
+def _grown(words: np.ndarray, size: int) -> np.ndarray:
+    """``words``, or a zero-extended copy of at least ``size`` words."""
+    if words.size >= size:
+        return words
+    out = np.zeros(max(size, 2 * words.size), dtype=np.uint64)
+    out[: words.size] = words
+    return out
 
 
 @telemetry.instrument_codec
@@ -178,17 +208,18 @@ class PaSTRICompressor:
         return blob
 
     def compress_many(self, arrays, error_bound: float) -> list[bytes]:
-        """Compress several streams in one fused batched kernel pass.
+        """Compress several streams in one chunked batched pass.
 
-        The service micro-batcher coalesces same-class requests; running
-        their whole-block bodies through a single :meth:`_block_parts`
-        call amortises the batched numeric front (pattern fit, ECQ
-        quantise, class grouping) across requests instead of paying it
-        once per stream.  Every per-block decision is independent of its
-        batch neighbours, so each returned blob is **byte-identical** to
-        ``compress(arrays[i], error_bound)`` — tested as an invariant.
-        ``last_stats`` is cleared (per-stream attribution is meaningless
-        for a fused pass).
+        The service micro-batcher and the store's write stage hand over
+        many small streams at once; their whole blocks go through the
+        kernel together, in chunks of at most :data:`PLANAR_CHUNK` tokens
+        (:meth:`_compress_streams`), so the numeric front's and the
+        emitter's fixed costs are paid per chunk, not per stream, and the
+        temporaries stay those of one chunk.  Every per-block decision is
+        independent of its batch neighbours, so each returned blob is
+        **byte-identical** to ``compress(arrays[i], error_bound)`` — tested
+        as an invariant.  ``last_stats`` is cleared (per-stream attribution
+        is meaningless for a fused pass).
         """
         blobs = self._compress_streams(arrays, error_bound, None)
         self.last_stats = None
@@ -197,96 +228,128 @@ class PaSTRICompressor:
     def _compress_streams(
         self, arrays, error_bound: float, stats: StreamStats | None
     ) -> list[bytes]:
-        """One blob per input stream, all whole blocks in one kernel pass.
+        """One blob per input stream, from one chunked pass over their blocks.
 
-        Each blob is the packed global header followed by the stream's
-        block segments and raw tail.  ``stats`` (one stream only) receives
-        the point count and the block and tail bit accounting.
+        The streams' whole blocks, in order, are cut into chunks of at most
+        :data:`PLANAR_CHUNK` tokens (one block at least).  For each chunk
+        :meth:`_front` decides every block's coding and size, one prefix
+        sum places every block, and :meth:`_emit` adds every field at its
+        bit offset into one word buffer for the whole call.  In that buffer
+        each stream starts on a word: its 32-byte header, its blocks and
+        its raw tail.  ``stats`` (one stream only) receives the point count
+        and the block and tail bit accounting.
         """
         eb = api.validate_error_bound(error_bound)
         N = self.spec.block_size
-        prepped = []
-        bodies = []
-        for a in arrays:
-            d = api.validate_input(a)
-            n_blocks, n_tail = split_blocks(d.size, N)
-            prepped.append((d, n_blocks, n_tail))
-            if n_blocks:
-                bodies.append(d[: n_blocks * N])
-        parts: list[tuple[np.ndarray, ...]] = []
-        if bodies:
-            body = bodies[0] if len(bodies) == 1 else np.concatenate(bodies)
-            parts = self._block_parts(body, body.size // N, eb, stats)
-        blobs = []
-        lo = 0
-        for d, n_blocks, n_tail in prepped:
-            head = fmt.pack_header(fmt.StreamHeader(
-                error_bound=eb,
-                spec=self.spec,
-                n_blocks=n_blocks,
-                n_tail=n_tail,
-                tree_id=self.tree_id,
-                metric=self.metric,
-            ))
-            # The header is whole bytes, so the body packs on its own.
-            w = BitWriter()
-            if n_blocks:
-                w.write_segments(seg for bp in parts[lo : lo + n_blocks] for seg in bp)
-                lo += n_blocks
-            if n_tail:
-                w.write_uint_array(d[n_blocks * N :].view(np.uint64), 64)
+        datas = [api.validate_input(a) for a in arrays]
+        if not datas:
+            return []
+        n_blocks, n_tail = np.divmod(np.array([d.size for d in datas], dtype=np.int64), N)
+        nbs = n_blocks.tolist()
+        row0 = (np.cumsum(n_blocks) - n_blocks).tolist()
+        stream_of = np.repeat(np.arange(len(datas)), n_blocks)
+        body_bits = np.zeros(len(datas), dtype=np.int64)  # block bits so far
+        # First word of each stream, known up to stream `placed`: a stream
+        # takes its header's 4 words and its body's, so it can be placed
+        # once every earlier stream's blocks are sized.
+        word0 = np.zeros(len(datas) + 1, dtype=np.int64)
+        placed = 0
+
+        def place(upto: int) -> None:
+            nonlocal placed
+            if upto > placed:
+                nwords = 4 + ((body_bits[placed:upto] + 64 * n_tail[placed:upto] + 63) >> 6)
+                word0[placed + 1 : upto + 1] = word0[placed] + np.cumsum(nwords)
+                placed = upto
+
+        words = np.zeros(0, dtype=np.uint64)
+        step = max(1, PLANAR_CHUNK // N)
+        for g0 in range(0, stream_of.size, step):
+            g1 = min(g0 + step, stream_of.size)
+            sid = stream_of[g0:g1]
+            s0, s1 = int(sid[0]), int(sid[-1])
+            pieces = [
+                datas[s][max(g0 - row0[s], 0) * N : min(g1 - row0[s], nbs[s]) * N]
+                for s in range(s0, s1 + 1)
+            ]
+            body = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            f = self._front(body, eb)
             if stats is not None:
-                stats.n_points = d.size
-                stats.bits_tail = 64 * n_tail
-            blobs.append(head + w.getvalue())
-        return blobs
+                self._collect_stats(stats, f)
+            # A block starts after its stream's header and earlier blocks.
+            before = np.cumsum(f.bits) - f.bits
+            start = body_bits[sid] + before - before[np.searchsorted(sid, sid)]
+            np.add.at(body_bits, sid, f.bits)
+            place(s1)
+            start += 64 * (word0[sid] + 4)
+            # (+2 guard words: a packed plane-0 word may run 63 zero bits
+            # past its segment, and every field may spill into a next word)
+            words = _grown(words, int(word0[s1]) + 7 + (int(body_bits[s1]) >> 6))
+            self._emit(words, f, start, body.reshape(-1, N))
+        place(len(datas))
+        words = _grown(words, int(word0[-1]) + 1)
 
-    def _block_parts(
-        self,
-        body: np.ndarray,
-        n_blocks: int,
-        eb: float,
-        stats: StreamStats | None,
-    ) -> list[tuple[np.ndarray, ...]]:
-        """Per-block bit segments for ``n_blocks`` whole blocks of ``body``.
+        # Headers, packed once per (n_blocks, n_tail), then raw tails.
+        keys = list(zip(nbs, n_tail.tolist()))
+        heads = {key: np.frombuffer(fmt.pack_header(fmt.StreamHeader(
+            error_bound=eb, spec=self.spec, n_blocks=key[0], n_tail=key[1],
+            tree_id=self.tree_id, metric=self.metric,
+        )), dtype=">u8") for key in set(keys)}
+        words[word0[:-1, None] + np.arange(4)] = [heads[k] for k in keys]
+        if n_tail.any():
+            tails = np.concatenate(
+                [d[nb * N :] for d, nb in zip(datas, nbs)]
+            ).view(np.uint64)
+            first = np.cumsum(n_tail) - n_tail
+            base = 64 * (word0[:-1] + 4) + body_bits - 64 * first
+            at = np.repeat(base, n_tail) + 64 * np.arange(tails.size)
+            add_fields(words, at, tails, 64)
+        if stats is not None:
+            stats.n_points = datas[0].size
+            stats.bits_tail = 64 * int(n_tail[0])
 
-        This is the batched numeric front plus group-by-class emission;
-        block ``b``'s output tuple depends only on block ``b``'s values,
-        which is what lets :meth:`compress_many` fuse blocks from several
-        streams into one pass.
+        stream = words.byteswap().view(np.uint8)
+        ends = 8 * word0[:-1] + 32 + ((body_bits + 64 * n_tail + 7) >> 3)
+        return [stream[a:b].tobytes() for a, b in zip((8 * word0[:-1]).tolist(), ends.tolist())]
+
+    def _front(self, body: np.ndarray, eb: float) -> _Front:
+        """Pattern fit, quantization and coding decisions for whole blocks.
+
+        Alg. 1 lines 5-16, fused across the blocks of ``body``; a block's
+        decisions depend only on its own values, which is what lets
+        :meth:`compress_many` chunk several streams' blocks together.
         """
         spec = self.spec
         M, L, N = spec.num_sb, spec.sb_size, spec.block_size
+        n_blocks = body.size // N
         blocks3d = body.reshape(n_blocks, M, L)
-        rows = np.arange(n_blocks)
 
-        # Batched numeric pipeline (Alg. 1 lines 5-16, fused across blocks).
         # One |.| buffer serves the pattern fit, the zero-block test and
-        # (overwritten) the ECQ magnitude moments below.
+        # (overwritten) the ECQ magnitude moments below; it dies with this
+        # call, before emission.
         abs3d = np.abs(blocks3d)
         p_idx, scales, degenerate = fit_pattern_batch(blocks3d, self.metric, abs3d=abs3d)
         amax = abs3d.reshape(n_blocks, N).max(axis=1)
         zero_block = amax == 0.0
         q = quantize_blocks(
-            blocks3d, blocks3d[rows, p_idx], scales, eb, amax=amax, scratch=abs3d
+            blocks3d, blocks3d[np.arange(n_blocks), p_idx], scales, eb,
+            amax=amax, scratch=abs3d,
         )
-        pq, sq, p_b, ecq2d, ecb = q.pq, q.sq, q.p_b, q.ecq, q.ec_b_max
-        force_raw = q.raw
+        p_b, ecq2d, ecb = q.p_b, q.ecq, q.ec_b_max
 
-        # Magnitude moments from the float residuals (integer-exact for
-        # quantised values): nnz and sum(min(|v|, 2)) drive both the outlier
-        # count and the dense-size formula for the fixed-shape trees.
+        # Magnitude moments: nnz (the bytes of the codes' nonzero mask,
+        # summed: cheaper than count_nonzero on floats) and sum(min(|v|, 2))
+        # from the float residuals (integer-exact for quantised values)
+        # drive both the outlier count and the dense-size formula for the
+        # fixed-shape trees.
+        nol = (ecq2d != 0).view(np.uint8).sum(axis=1, dtype=np.int32).astype(np.int64)
         abs_f = q.ecq_abs
-        nol = np.count_nonzero(abs_f, axis=1)
         np.minimum(abs_f, 2.0, out=abs_f)
         s_f = abs_f.sum(axis=1)
         idx_bits = max(1, (N - 1).bit_length())
-        nol_bits = N.bit_length()
-        sparse_bits = nol_bits + nol * (idx_bits + ecb)
+        sparse_bits = N.bit_length() + nol * (idx_bits + ecb)
 
-        # Batched coding decisions: dense vs sparse per block, then the
-        # patterned-vs-raw payoff test — one vectorised pass instead of the
-        # historical per-block arithmetic (bit-identical outcomes).
+        # Dense vs sparse per block, then the patterned-vs-raw payoff test.
         has_ecq = ecb >= 2
         if self.tree_id in (1, 3, 5):
             dense_bits = encoded_size_bits_from_moments(
@@ -301,132 +364,80 @@ class PaSTRICompressor:
         else:
             use_sparse = np.zeros(n_blocks, dtype=bool)
         ecq_cost = np.where(has_ecq, 1 + np.where(use_sparse, sparse_bits, dense_bits), 0)
-        patterned_total = 2 + 6 + 6 + (L + M) * p_b + ecq_cost
-        force_raw |= patterned_total >= 2 + 64 * N
+        bits = 2 + 6 + 6 + (L + M) * p_b + ecq_cost
+        raw = q.raw | (bits >= 2 + 64 * N)
 
         kinds = np.full(n_blocks, fmt.KIND_PATTERNED, dtype=np.int8)
-        kinds[force_raw] = fmt.KIND_RAW
+        kinds[raw] = fmt.KIND_RAW
         kinds[zero_block] = fmt.KIND_ZERO
+        bits[raw] = 2 + 64 * N
+        bits[zero_block] = 2
+        return _Front(kinds, bits, p_b, q.pq, q.sq, ecb, use_sparse, nol, ecq2d,
+                      dense_bits, sparse_bits, degenerate)
 
-        # Group-by-class batched emission: one bit matrix per class for the
-        # fixed-width fields, one planar emitter call for all dense ECQ,
-        # then an assembly loop that only interleaves precomputed segments.
-        parts: list[tuple[np.ndarray, ...]] = [()] * n_blocks
+    def _emit(self, words: np.ndarray, f: _Front, start: np.ndarray, blocks: np.ndarray) -> None:
+        """Add every field of the blocks of ``f`` into ``words``; block ``b``
+        starts at stream bit ``start[b]``, its values are ``blocks[b]``.
 
-        zero_ids = np.flatnonzero(kinds == fmt.KIND_ZERO)
-        if zero_ids.size:
-            zero_tag = uint_to_bits(fmt.KIND_ZERO, 2)
-            zero_parts = (zero_tag,)
-            for b in zero_ids:
-                parts[b] = zero_parts
+        Each field family goes in with one :func:`add_fields` call over all
+        blocks, whatever their P_b or EC_b,max.  A zero block is its kind
+        tag, 0, so it writes nothing.
+        """
+        spec = self.spec
+        M, L, N = spec.num_sb, spec.sb_size, spec.block_size
+        raw = np.flatnonzero(f.kinds == fmt.KIND_RAW)
+        if raw.size:  # the kind tag, then the block's doubles
+            vals = np.empty((raw.size, N + 1), dtype=np.uint64)
+            vals[:, 0] = fmt.KIND_RAW
+            vals[:, 1:] = blocks[raw].view(np.uint64)
+            at = start[raw, None] + np.r_[0, 2 + 64 * np.arange(N)]
+            add_fields(words, at, vals, np.r_[2, np.full(N, 64)])
+        pat = np.flatnonzero(f.kinds == fmt.KIND_PATTERNED)
+        if not pat.size:
+            return
+        # One row of fields per patterned block: kind|P_b, PQ, SQ,
+        # EC_b,max (with the sparse flag when it is at least 2) and the
+        # outlier count of a sparse block (zero bits for the others).
+        pb, ecb, sparse = f.p_b[pat], f.ecb[pat], f.sparse[pat]
+        has = ecb >= 2
+        half = np.left_shift(np.int64(1), pb - 1)[:, None]
+        vals = np.empty((pat.size, L + M + 3), dtype=np.int64)
+        vals[:, 0] = (fmt.KIND_PATTERNED << 6) | pb
+        vals[:, 1 : L + 1] = f.pq[pat] + half
+        vals[:, L + 1 : L + M + 1] = f.sq[pat] + half
+        vals[:, -2] = np.where(has, (ecb << 1) | sparse, ecb)
+        vals[:, -1] = np.where(sparse, f.nol[pat], 0)
+        widths = np.empty_like(vals)
+        widths[:, 0] = 8
+        widths[:, 1:-2] = pb[:, None]
+        widths[:, -2] = 6 + has
+        widths[:, -1] = np.where(sparse, N.bit_length(), 0)
+        ends = np.cumsum(widths, axis=1)
+        ends += start[pat, None]
+        add_fields(words, ends - widths, vals, widths)
+        payload = ends[:, -1]  # where each block's ECQ payload starts
 
-        raw_ids = np.flatnonzero(kinds == fmt.KIND_RAW)
-        if raw_ids.size:
-            raw_tag = uint_to_bits(fmt.KIND_RAW, 2)
-            raw_rows = pack_uint_rows(
-                blocks3d[raw_ids].reshape(raw_ids.size, N).view(np.uint64), 64
-            )
-            for i, b in enumerate(raw_ids):
-                parts[b] = (raw_tag, raw_rows[i])
+        dense = has & ~sparse
+        if dense.any():
+            add_ecq_planar(words, f.ecq[pat[dense]], ecb[dense], payload[dense], self.tree_id)
+        if sparse.any():  # (index, offset-binary value) of each outlier
+            sub = f.ecq[pat[sparse]]
+            flat = np.flatnonzero(sub != 0)  # row-major == flatnonzero order
+            rows, cols = np.divmod(flat, N)
+            e = ecb[sparse]
+            er = e[rows]
+            entry = (cols << er) | (sub.reshape(-1).take(flat) + (np.int64(1) << (er - 1)))
+            width = max(1, (N - 1).bit_length()) + e
+            first = np.cumsum(f.nol[pat[sparse]]) - f.nol[pat[sparse]]
+            at = (payload[sparse] - first * width)[rows] + np.arange(flat.size) * width[rows]
+            add_fields(words, at, entry, width[rows])
 
-        pat_ids = np.flatnonzero(kinds == fmt.KIND_PATTERNED)
-        if pat_ids.size:
-            # Each field family is batched over the widest grouping that
-            # preserves its bits: headers over all patterned blocks at once
-            # (kind|P_b is one fixed 8-bit field, EC_b,max[|flag] a 6/7-bit
-            # one), PQ+SQ rows per P_b class, sparse ECQ payloads per
-            # EC_b,max class and dense ones all at once (neither depends
-            # on P_b).
-            n_pat = pat_ids.size
-            pb_p = p_b[pat_ids]
-            ecb_p = ecb[pat_ids]
-            sp_p = use_sparse[pat_ids]
-            has_p = ecb_p >= 2
-
-            hdr1_vals = (np.int64(fmt.KIND_PATTERNED) << 6) | pb_p
-            hdr1_rows = pack_uint_rows(hdr1_vals[:, None].astype(np.uint64), 8)
-
-            hdr2_seg: list[np.ndarray] = [None] * n_pat  # type: ignore[list-item]
-            loc6 = np.flatnonzero(~has_p)
-            if loc6.size:
-                rows6 = pack_uint_rows(ecb_p[loc6][:, None].astype(np.uint64), 6)
-                for j, i in enumerate(loc6):
-                    hdr2_seg[i] = rows6[j]
-            loc7 = np.flatnonzero(has_p)
-            if loc7.size:
-                vals7 = ((ecb_p[loc7] << 1) | sp_p[loc7]).astype(np.uint64)
-                rows7 = pack_uint_rows(vals7[:, None], 7)
-                for j, i in enumerate(loc7):
-                    hdr2_seg[i] = rows7[j]
-
-            pqsq_seg: list[np.ndarray] = [None] * n_pat  # type: ignore[list-item]
-            for pbv in np.unique(pb_p):
-                loc = np.flatnonzero(pb_p == pbv)
-                ids = pat_ids[loc]
-                offset = 1 << (int(pbv) - 1)
-                vals = np.concatenate(
-                    [pq[ids] + offset, sq[ids] + offset], axis=1
-                ).astype(np.uint64)
-                rows = pack_uint_rows(vals, int(pbv))
-                for j, i in enumerate(loc):
-                    pqsq_seg[i] = rows[j]
-
-            payload_seg: list[tuple[np.ndarray, ...]] = [()] * n_pat
-            dense_loc = np.flatnonzero(has_p & ~sp_p)
-            if dense_loc.size:
-                # One planar pass over every dense block, whatever its tree
-                # branch or codeword width; segment lengths equal dense_bits.
-                segs = encode_ecq_planar(
-                    ecq2d[pat_ids[dense_loc]], ecb_p[dense_loc], self.tree_id
-                )
-                for i, seg in zip(dense_loc.tolist(), segs):
-                    payload_seg[i] = seg
-            sparse_loc = np.flatnonzero(sp_p)
-            for ebv in np.unique(ecb_p[sparse_loc]):
-                loc = sparse_loc[ecb_p[sparse_loc] == ebv]
-                eb_max = int(ebv)
-                sub = ecq2d[pat_ids[loc]]
-                r_i, cols = np.nonzero(sub)  # row-major == flatnonzero order
-                packed = (cols.astype(np.uint64) << np.uint64(eb_max)) | (
-                    sub[r_i, cols] + (1 << (eb_max - 1))
-                ).astype(np.uint64)
-                width = idx_bits + eb_max
-                entry_bits = pack_uint_rows(packed[None, :], width).ravel()
-                counts = nol[pat_ids[loc]]
-                chunks = np.split(entry_bits, np.cumsum(counts[:-1] * width))
-                nol_rows = pack_uint_rows(counts[:, None].astype(np.uint64), nol_bits)
-                for j, i in enumerate(loc):
-                    payload_seg[i] = (nol_rows[j], chunks[j])
-
-            for i, b in enumerate(pat_ids):
-                parts[b] = (hdr1_rows[i], pqsq_seg[i], hdr2_seg[i]) + payload_seg[i]
-
-        if stats is not None:
-            self._collect_stats(
-                stats, kinds, p_b, ecb, nol, use_sparse, dense_bits, sparse_bits,
-                ecq2d, degenerate, M, L, N,
-            )
-        return parts
-
-    def _collect_stats(
-        self,
-        stats: StreamStats,
-        kinds: np.ndarray,
-        p_b: np.ndarray,
-        ecb: np.ndarray,
-        nol: np.ndarray,
-        use_sparse: np.ndarray,
-        dense_bits: np.ndarray,
-        sparse_bits: np.ndarray,
-        ecq2d: np.ndarray,
-        degenerate: np.ndarray,
-        M: int,
-        L: int,
-        N: int,
-    ) -> None:
-        """Per-block bit accounting, identical to the historical loop."""
-        if degenerate.any():
-            stats.degenerate_blocks = int(degenerate.sum())
+    def _collect_stats(self, stats: StreamStats, f: _Front) -> None:
+        """Per-block bit accounting of one chunk, identical to the historical loop."""
+        spec = self.spec
+        M, L, N = spec.num_sb, spec.sb_size, spec.block_size
+        kinds, p_b, ecb, nol, use_sparse = f.kinds, f.p_b, f.ecb, f.nol, f.sparse
+        stats.degenerate_blocks += int(f.degenerate.sum())
         for b in range(kinds.size):
             kind = int(kinds[b])
             if kind == fmt.KIND_ZERO:
@@ -446,7 +457,7 @@ class PaSTRICompressor:
                 ))
                 continue
             if eb_max >= 2:
-                bits_ecq = int(sparse_bits[b] if use_sparse[b] else dense_bits[b])
+                bits_ecq = int(f.sparse_bits[b] if use_sparse[b] else f.dense_bits[b])
             else:
                 bits_ecq = 0
             stats.add_block(BlockRecord(
@@ -459,7 +470,7 @@ class PaSTRICompressor:
         pat_ids = np.flatnonzero(kinds == fmt.KIND_PATTERNED)
         if pat_ids.size:
             stats.add_ecq_histograms(
-                _block_types(ecb[pat_ids]), ecq_bin_numbers(ecq2d[pat_ids])
+                _block_types(ecb[pat_ids]), ecq_bin_numbers(f.ecq[pat_ids])
             )
 
     # -- decompression -------------------------------------------------------

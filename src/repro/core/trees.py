@@ -1,4 +1,4 @@
-"""The five symbol-by-symbol / variable-length ECQ encoders (paper Fig. 7).
+"""The five ECQ coding trees (paper Fig. 7): sizing, emission and decoding.
 
 Each tree maps quantized error-correction values (ECQ) to bit strings.  The
 trees are *fixed* — they are part of the format, not of the stream — which
@@ -19,10 +19,11 @@ Non-zero "other" payloads use offset-binary in ``EC_b`` bits (value +
 
 Stream version 2 lays each dense segment out *planar* — the same
 codewords, prefix bits plane by plane, then tails — so segment lengths
-follow from popcounts and every segment of a stream decodes in one batched
-pass (:func:`encode_ecq_planar`, :func:`decode_ecq_planar`).  Version-1
-segments hold the codewords back to back; :class:`ECQDecoder` reads them
-one at a time with :func:`decode_ecq`'s prefix scan under adaptive bounds.
+follow from popcounts, every segment of a call is written in one batched
+pass (:func:`add_ecq_planar`) and every segment of a stream decodes in one
+(:func:`decode_ecq_planar`).  Version-1 segments hold the codewords back
+to back; :class:`ECQDecoder` reads them one at a time with
+:func:`decode_ecq`'s prefix scan under adaptive bounds.
 """
 
 from __future__ import annotations
@@ -31,16 +32,11 @@ import numpy as np
 
 from repro.bitio.reader import FieldScanner
 from repro.bitio.vlc import decode_prefix_stream, gather_bit_windows, gather_bit_windows_var
-from repro.bitio.writer import varlen_bits
+from repro.bitio.writer import add_fields
 from repro.core.quantize import ecq_bin_numbers
 from repro.errors import FormatError, ParameterError
 
 TREE_IDS = (1, 2, 3, 4, 5)
-
-
-def _offset_encode(values: np.ndarray, nbits: int) -> np.ndarray:
-    """Signed → offset-binary payloads (value + 2^(nbits-1)) as uint64."""
-    return (values + (1 << (nbits - 1))).astype(np.uint64)
 
 
 def _offset_decode(payload: np.ndarray, nbits: int) -> np.ndarray:
@@ -51,86 +47,6 @@ def _offset_decode(payload: np.ndarray, nbits: int) -> np.ndarray:
 def _check_ecb(ecb: int) -> None:
     if not 2 <= ecb <= 40:
         raise ParameterError(f"EC_b must be in [2, 40], got {ecb}")
-
-
-# ---------------------------------------------------------------------------
-# Encoding: ECQ values -> (codewords, lengths), consumed by
-# BitWriter.write_varlen_array.  Everything is branch-free numpy.
-# ---------------------------------------------------------------------------
-
-
-def _encode_tree1(ecq: np.ndarray, ecb: int) -> tuple[np.ndarray, np.ndarray]:
-    zero = ecq == 0
-    codes = (np.uint64(1) << np.uint64(ecb)) | _offset_encode(ecq, ecb)
-    codes[zero] = 0
-    lengths = np.where(zero, 1, 1 + ecb).astype(np.int64)
-    return codes, lengths
-
-
-def _encode_tree2(ecq: np.ndarray, ecb: int) -> tuple[np.ndarray, np.ndarray]:
-    codes = (np.uint64(0b111) << np.uint64(ecb)) | _offset_encode(ecq, ecb)
-    lengths = np.full(ecq.shape, 3 + ecb, dtype=np.int64)
-    for value, code, ln in ((0, 0b0, 1), (1, 0b10, 2), (-1, 0b110, 3)):
-        m = ecq == value
-        codes[m] = code
-        lengths[m] = ln
-    return codes, lengths
-
-
-def _encode_tree3(ecq: np.ndarray, ecb: int) -> tuple[np.ndarray, np.ndarray]:
-    codes = (np.uint64(0b10) << np.uint64(ecb)) | _offset_encode(ecq, ecb)
-    lengths = np.full(ecq.shape, 2 + ecb, dtype=np.int64)
-    for value, code, ln in ((0, 0b0, 1), (1, 0b110, 3), (-1, 0b111, 3)):
-        m = ecq == value
-        codes[m] = code
-        lengths[m] = ln
-    return codes, lengths
-
-
-def _encode_tree4(ecq: np.ndarray, ecb: int) -> tuple[np.ndarray, np.ndarray]:
-    bins = ecq_bin_numbers(ecq)
-    if int(bins.max(initial=1)) > ecb:
-        raise ParameterError("ECQ value outside the EC_b range for tree 4")
-    a = np.abs(ecq).astype(np.uint64)
-    neg = (ecq < 0).astype(np.uint64)
-    w = (bins - 1).astype(np.uint64)  # payload width per value (0 for the 0 bin)
-    # payload = sign * 2^(w-1) + (|v| - 2^(w-1)); for w = 0 it is empty.
-    half = np.where(w > 0, np.uint64(1) << (w - np.uint64(1) * (w > 0)), np.uint64(0))
-    payload = np.where(w > 0, neg * half + (a - half), np.uint64(0))
-    top = bins == ecb
-    # prefix: (bin-1) ones then a 0 terminator, except the top bin which is
-    # exhaustive and drops the terminator.
-    prefix_len = np.where(top, ecb - 1, bins).astype(np.int64)
-    prefix = np.where(
-        top,
-        (np.uint64(1) << np.uint64(ecb - 1)) - np.uint64(1),
-        ((np.uint64(1) << bins.astype(np.uint64)) - np.uint64(1)) - np.uint64(1),
-    )
-    # `prefix` for non-top bin i: i-1 ones + trailing 0 == (2^i - 1) - 1.
-    codes = (prefix << w) | payload
-    lengths = prefix_len + w.astype(np.int64)
-    zero = bins == 1
-    codes[zero] = 0
-    lengths[zero] = 1
-    return codes, lengths
-
-
-def _encode_tree5(ecq: np.ndarray, ecb: int) -> tuple[np.ndarray, np.ndarray]:
-    if ecb == 2:
-        return _encode_tree4(ecq, 2)  # '0', '10', '11' — the optimal 3-leaf tree
-    return _encode_tree3(ecq, ecb)
-
-
-_ENCODERS = {1: _encode_tree1, 2: _encode_tree2, 3: _encode_tree3, 4: _encode_tree4, 5: _encode_tree5}
-
-
-def encode_ecq(ecq: np.ndarray, ecb: int, tree_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """Encode a flat ECQ array; returns ``(codewords, bit_lengths)``."""
-    _check_ecb(ecb)
-    if tree_id not in _ENCODERS:
-        raise ParameterError(f"unknown tree id {tree_id}")
-    ecq = np.ascontiguousarray(ecq, dtype=np.int64)
-    return _ENCODERS[tree_id](ecq, ecb)
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +63,13 @@ def encoded_size_bits_batch(
     ``ecq2d`` is ``(n_blocks, block_size)`` int64; ``ecb`` holds each row's
     ``EC_b,max``.  One vectorised pass sizes every block for the
     compressor's dense-vs-sparse decision; a row's size equals the summed
-    :func:`encode_ecq` codeword lengths.
+    lengths of its codewords, planar or not.
     Rows whose ``ecb`` lies outside the legal ``[2, 40]`` range produce
     unspecified values — callers must mask them out (the compressor only
     consults rows with ``EC_b,max >= 2``).  ``nnz`` optionally passes the
     per-row nonzero count if the caller already has it, saving one pass.
     """
-    if tree_id not in _ENCODERS:
+    if tree_id not in TREE_IDS:
         raise ParameterError(f"unknown tree id {tree_id}")
     ecq2d = np.ascontiguousarray(ecq2d, dtype=np.int64)
     ecb = np.asarray(ecb, dtype=np.int64)
@@ -203,7 +119,7 @@ def encoded_size_bits_from_moments(
 
 
 # ---------------------------------------------------------------------------
-# Planar dense layout (stream version 2).  Every codeword above is a prefix
+# Planar dense layout (stream version 2).  Every tree codeword is a prefix
 # of c leading 1-bits — closed by a 0 unless c is the tree's longest prefix
 # L — followed by a tail (a sign bit or an offset-binary payload).  A planar
 # segment stores the same bits reordered: plane j holds bit j of every
@@ -213,7 +129,8 @@ def encoded_size_bits_from_moments(
 # decode in one batched pass.
 # ---------------------------------------------------------------------------
 
-#: Tokens per batched planar decode step: bounds the pass's temporaries.
+#: Tokens per step of the batched encoder and of the planar decoder:
+#: bounds each pass's temporaries.
 PLANAR_CHUNK = 1 << 17
 
 
@@ -227,29 +144,36 @@ def _planar_levels(ecb: np.ndarray, tree_id: int) -> np.ndarray:
     return np.full(ecb.shape, {1: 1, 2: 3, 3: 2}[tree_id], dtype=np.int64)
 
 
-def _planar_classes(
+def _planar_codes(
     v: np.ndarray, ecb: np.ndarray, levels: np.ndarray, tree_id: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(prefix class c, tail payload) of nonzero tokens.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(prefix class c, tail, tail width) of nonzero tokens.
 
-    ``v`` holds nonzero ECQ values; ``ecb`` and ``levels`` are per token.
-    The zero token is always class 0 with no tail, so callers pass only
-    nonzero values.  Tree 5 is tree 3 with ``L = 1`` at ``EC_b,max = 2``,
-    where the ±1 class is the only nonzero one.
+    ``v`` holds nonzero ECQ values; ``ecb`` and ``levels`` are per token,
+    in ``v``'s dtype, which holds every tail (int32 ECQ means EC_b,max <=
+    31).  Only a tail's low ``width`` bits count: the writer drops the
+    rest (:func:`repro.bitio.writer.add_fields`).  The zero token is always
+    class 0 with no tail, so callers pass only nonzero values.  Tree 5 is
+    tree 3 with ``L = 1`` at ``EC_b,max = 2``, where the ±1 class is the
+    only nonzero one.  Selections are arithmetic: ``np.where`` costs
+    several times more per token.
     """
-    half = np.left_shift(np.int64(1), ecb - 1)
+    escape = v + np.left_shift(1, ecb - 1, dtype=v.dtype)  # offset binary
     if tree_id == 1:
-        return np.ones(v.size, dtype=np.int64), v + half
+        return np.ones_like(v), escape, ecb
     if tree_id == 2:
-        return np.where(v == 1, 1, np.where(v == -1, 2, 3)), v + half
+        c = 3 - 2 * (v == 1) - (v == -1)
+        return c, escape, (c == 3) * ecb
     if tree_id in (3, 5):
+        # ±1 is class L with a sign bit for a tail: the low bit of its
+        # escape (odd, as 2^(EC_b,max - 1) is even), less 1 for +1
         one = np.abs(v) == 1
-        return np.where(one, levels, 1), np.where(one, v < 0, v + half)
-    c = ecq_bin_numbers(v) - 1  # tree 4: c ones, then c payload bits
+        return 1 + one * (levels - 1), escape - (v == 1), ecb - one * (ecb - 1)
+    c = (ecq_bin_numbers(v) - 1).astype(v.dtype)  # tree 4: c ones, c payload bits
     if (c > levels).any():
         raise ParameterError("ECQ value outside the EC_b range for tree 4")
-    tail_half = np.left_shift(np.int64(1), c - 1)
-    return c, np.where(v < 0, tail_half, 0) + np.abs(v) - tail_half
+    tail_half = np.left_shift(1, c - 1, dtype=v.dtype)
+    return c, (v < 0) * tail_half + np.abs(v) - tail_half, c
 
 
 def _planar_tail_widths(
@@ -268,7 +192,7 @@ def _planar_tail_widths(
 def _planar_values(
     c: np.ndarray, tail: np.ndarray, ecb: np.ndarray, levels: np.ndarray, tree_id: int
 ) -> np.ndarray:
-    """Inverse of :func:`_planar_classes` for tokens of class ``c >= 1``.
+    """Inverse of :func:`_planar_codes` for tokens of class ``c >= 1``.
 
     ``tail`` holds the tails as int64.
     """
@@ -284,71 +208,55 @@ def _planar_values(
     return np.where(neg, -tail, tail + half)
 
 
-def _row_sums(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Sums of ``x`` over the row runs ``[bounds[r], bounds[r + 1])``."""
-    cs = np.zeros(x.size + 1, dtype=np.int64)
-    np.cumsum(x, out=cs[1:])
-    return cs[bounds[1:]] - cs[bounds[:-1]]
+def add_ecq_planar(
+    words: np.ndarray,
+    ecq2d: np.ndarray,
+    ecb_rows: np.ndarray,
+    starts: np.ndarray,
+    tree_id: int,
+) -> None:
+    """Add the planar dense segment of each row of ``ecq2d`` into ``words``.
 
-
-def _split_rows(stream: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
-    """Views of ``stream`` cut into consecutive runs of ``counts`` elements."""
-    ends = np.cumsum(counts).tolist()
-    return [stream[a:b] for a, b in zip([0] + ends[:-1], ends)]
-
-
-def encode_ecq_planar(
-    ecq2d: np.ndarray, ecb_rows: np.ndarray, tree_id: int
-) -> list[tuple[np.ndarray, ...]]:
-    """Planar dense segments for many blocks, vectorised over row chunks.
-
-    ``ecq2d`` is ``(n_rows, block_size)`` and ``ecb_rows[i]`` the
-    EC_b,max of row *i*.  Returns one tuple of 0/1 uint8 bit arrays per row
-    — prefix planes, then tails — whose concatenation is the row's planar
-    segment.  It holds exactly the bits of the row's :func:`encode_ecq`
-    codewords, so its length is the row's :func:`encoded_size_bits_batch`.
-    Rows go through in chunks of ~:data:`PLANAR_CHUNK` tokens, which
-    bounds the temporaries whatever the stream length.
+    ``ecq2d`` is a C-contiguous ``(n_rows, n)`` matrix; ``ecb_rows[i]`` is
+    row *i*'s EC_b,max and ``starts[i]`` the stream bit where its segment
+    starts, in the word layout of :func:`repro.bitio.writer.add_fields`.
+    A segment holds the bits of the row's tree codewords, prefix planes
+    first, then tails, so its length is the row's
+    :func:`encoded_size_bits_batch`.  Plane 0 goes in as packed words.  Of
+    the later planes only the 1-bits are written, and every tail is one
+    field, placed by one prefix sum over the tail widths.  No loop runs
+    over rows; the caller bounds the temporaries by passing at most
+    :data:`PLANAR_CHUNK` tokens.
     """
-    if tree_id not in _ENCODERS:
-        raise ParameterError(f"unknown tree id {tree_id}")
-    ecb_rows = np.asarray(ecb_rows, dtype=np.int64)
-    if ecb_rows.size and not (2 <= int(ecb_rows.min()) and int(ecb_rows.max()) <= 40):
-        raise ParameterError("EC_b must be in [2, 40]")
     n_rows, n = ecq2d.shape
-    step = max(1, PLANAR_CHUNK // max(n, 1))
-    segs: list[tuple[np.ndarray, ...]] = []
-    for r0 in range(0, n_rows, step):
-        segs += _encode_planar_chunk(ecq2d[r0 : r0 + step], ecb_rows[r0 : r0 + step], tree_id)
-    return segs
-
-
-def _encode_planar_chunk(
-    ecq2d: np.ndarray, ecb_rows: np.ndarray, tree_id: int
-) -> list[tuple[np.ndarray, ...]]:
-    """:func:`encode_ecq_planar` of one chunk of rows."""
     nzm = ecq2d != 0
-    v = ecq2d[nzm]  # nonzero tokens, row-major
-    cnt = np.count_nonzero(nzm, axis=1)
-    bounds = np.zeros(cnt.size + 1, dtype=np.int64)
-    np.cumsum(cnt, out=bounds[1:])
+    # Plane 0, each row padded with zeros to whole 64-bit words.
+    plane0 = np.zeros((n_rows, -(-n // 64) * 8), dtype=np.uint8)
+    plane0[:, : -(-n // 8)] = np.packbits(nzm, axis=1)
+    add_fields(words, starts[:, None] + np.arange(0, n, 64), plane0.view(">u8"), 64)
+    tok = np.flatnonzero(nzm)
+    v = ecq2d.reshape(-1).take(tok)  # nonzero tokens, row-major
+    bounds = tok.searchsorted(np.arange(0, (n_rows + 1) * n, n))
+    first, cnt = bounds[:-1], np.diff(bounds)  # each row's nonzero tokens
     levels = _planar_levels(ecb_rows, tree_id)
-    lv = np.repeat(levels, cnt)
-    ecb = np.repeat(ecb_rows, cnt)
-    c, tail = _planar_classes(v, ecb, lv, tree_id)  # int64 whatever v's dtype
-    w = _planar_tail_widths(c, ecb, lv, tree_id)
-
-    sections = [list(nzm.view(np.uint8))]  # plane 0: does the prefix go on?
+    lv = np.repeat(levels.astype(v.dtype), cnt)
+    c, tail, w = _planar_codes(v, np.repeat(ecb_rows.astype(v.dtype), cnt), lv, tree_id)
+    at = starts + n  # where each row's next section starts
     for j in range(1, int(levels.max(initial=1))):
+        # Plane j holds a bit for each token with c >= j of a row with
+        # more than j planes; the bit is 1 where c > j.
+        ones = np.flatnonzero(c > j)
         if j == 1:  # every nonzero token of a row that has a plane 1
-            on, counts = lv > 1, np.where(levels > 1, cnt, 0)
-        else:
-            on = (c >= j) & (lv > j)
-            counts = _row_sums(on, bounds)
-        sections.append(_split_rows((c[on] > j).view(np.uint8), counts))
-    tails = varlen_bits(tail, w)  # zero-width tails add no bits
-    sections.append(_split_rows(tails, _row_sums(w, bounds)))
-    return list(zip(*sections))
+            add_fields(words, np.repeat(at - first, cnt).take(ones) + ones, 1, 1)
+            at = at + (levels > 1) * cnt
+            continue
+        on = np.zeros(v.size + 1, dtype=np.int64)
+        np.cumsum((c >= j) & (lv > j), out=on[1:])
+        add_fields(words, np.repeat(at - on[first], cnt).take(ones) + on.take(ones), 1, 1)
+        at = at + on[first + cnt] - on[first]
+    cs = np.zeros(v.size + 1, dtype=np.int64)
+    np.cumsum(w, out=cs[1:])  # tails follow the last plane, in token order
+    add_fields(words, np.repeat(at - cs[first], cnt) + cs[:-1], tail, w)
 
 
 def skip_planar_segment(sc: FieldScanner, n: int, ecb: int, tree_id: int) -> None:
@@ -491,7 +399,7 @@ def decode_ecq(
     :class:`ECQDecoder` exploits this with an adaptive guess-and-retry.
     """
     _check_ecb(ecb)
-    if tree_id not in _ENCODERS:
+    if tree_id not in TREE_IDS:
         raise ParameterError(f"unknown tree id {tree_id}")
     if n == 0:
         return np.zeros(0, dtype=np.int64), start
@@ -605,7 +513,7 @@ class ECQDecoder:
     def __init__(
         self, bits: np.ndarray, tree_id: int, hints: dict[int, float] | None = None
     ) -> None:
-        if tree_id not in _ENCODERS:
+        if tree_id not in TREE_IDS:
             raise ParameterError(f"unknown tree id {tree_id}")
         self._bits = bits
         self._tree_id = tree_id

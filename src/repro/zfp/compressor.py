@@ -41,8 +41,8 @@ class ZFPCompressor:
     The error bound plays the role of ZFP's accuracy *tolerance*: the plane
     cutoff guarantees ``max|x - x'| <= tolerance`` (property-tested).
     Encoding runs the batched plane coder of :mod:`repro.zfp.vectorized`,
-    whose tokens tests check against the scalar
-    :func:`repro.zfp.bitplane.encode_block`.
+    whose tokens tests check against a block-at-a-time reference coder
+    (``tests/zfp/bitplane_oracle.py``).
     """
 
     name = "zfp"

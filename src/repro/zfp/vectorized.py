@@ -1,8 +1,8 @@
 """Vectorised ZFP block encoding.
 
-The scalar plane coder (:mod:`repro.zfp.bitplane`) processes one block at a
-time in Python — the dominant cost of ZFP compression here.  This module
-produces *bit-identical* streams with numpy passes across all blocks:
+A block-at-a-time transcription of the plane coder (:mod:`repro.zfp.bitplane`)
+spends its time in per-bit Python loops.  This module produces the same
+streams with numpy passes across all blocks:
 
 * the per-plane emitted bits depend only on ``(n, plane_bits)``, where
   ``n`` is the count of already-significant values — and ``n`` at plane
@@ -15,8 +15,9 @@ produces *bit-identical* streams with numpy passes across all blocks:
 * per-block token runs scatter into one global (codes, lengths) array,
   written with a single ``BitWriter.write_varlen_array``.
 
-Equality with the scalar coder is enforced by tests
-(`tests/zfp/test_vectorized.py`).
+Equality with the block-at-a-time reference coder
+(``tests/zfp/bitplane_oracle.py``) is enforced by
+``tests/zfp/test_vectorized.py``.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ _DEC_LIST = [row.tolist() for row in _DEC]  # Python-int lookups are faster
 
 
 def decode_block_fast(payload: int, payload_bits: int, top_plane: int, maxprec: int) -> tuple[tuple[int, int, int, int], int]:
-    """Table-driven equivalent of :func:`repro.zfp.bitplane.decode_block`.
+    """Table-driven decode of one block of the plane coder (:mod:`repro.zfp.bitplane`).
 
     One table lookup per plane replaces the per-bit loop.
     """

@@ -1,10 +1,12 @@
-"""Unit tests for the five ECQ encoding trees (repro.core.trees)."""
+"""Unit tests for the five ECQ encoding trees: the reference coder
+(tests.core.ecq_oracle) against the decoder and sizing in repro.core.trees."""
 
 import numpy as np
 import pytest
 
 from repro.bitio import BitWriter
-from repro.core.trees import TREE_IDS, decode_ecq, encode_ecq, encoded_size_bits_batch
+from repro.core.trees import TREE_IDS, decode_ecq, encoded_size_bits_batch
+from tests.core.ecq_oracle import encode_ecq
 from repro.errors import ParameterError
 
 

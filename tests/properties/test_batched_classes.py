@@ -1,4 +1,4 @@
-"""Property tests for the group-by-class batched codec kernels.
+"""Property tests for the batched codec kernels.
 
 Two invariant families:
 
@@ -6,13 +6,14 @@ Two invariant families:
   / dense / tail) must round-trip within the bound, with exact tails, a
   consistent ``StreamStats`` bit accounting, and identical output on warm
   (memoised index pass) re-decodes.
-* **Class batching** — a block decodes to the same bits alone in a
-  one-block stream as in the middle of a stream whose other blocks join
-  its class batches, for every block class, tree and geometry.
-* **Kernel level** — the planar emitter must emit exactly the bits of the
-  per-block :func:`encode_ecq` codewords, reordered prefix plane by prefix
-  plane and then tails; the batched planar decoder must invert it; and the
-  moments-based dense sizing must equal the exact per-row count.
+* **Batching** — a block decodes to the same bits alone in a one-block
+  stream as in the middle of a stream whose other blocks share its
+  batched passes, for every block class, tree and geometry.
+* **Kernel level** — the planar emitter must write exactly the bits of the
+  reference coder's codewords (:func:`tests.core.ecq_oracle.encode_ecq`),
+  reordered prefix plane by prefix plane and then tails; the batched
+  planar decoder must invert it; and the moments-based dense sizing must
+  equal the exact per-row count.
 """
 
 import numpy as np
@@ -25,13 +26,14 @@ from repro.core import PaSTRICompressor
 from repro.core import header as fmt
 from repro.core.blocking import BlockSpec
 from repro.core.trees import (
+    add_ecq_planar,
     decode_ecq_planar,
-    encode_ecq,
-    encode_ecq_planar,
+    encoded_size_bits_batch,
     encoded_size_bits_from_moments,
     skip_planar_segment,
 )
 from tests.conftest import make_class_block
+from tests.core.ecq_oracle import encode_ecq, planar_bits
 
 DIMS = (2, 2, 3, 3)
 SPEC = BlockSpec(DIMS)
@@ -153,54 +155,45 @@ def _planar_rows_from(spec_rows):
     return ecq2d, ecbs
 
 
-def _levels(tree_id: int, ecb: int) -> int:
-    """Longest codeword prefix (the tree shape, paper Fig. 7)."""
-    return {1: 1, 2: 3, 3: 2, 4: ecb - 1, 5: 1 if ecb == 2 else 2}[tree_id]
+def _emit_rows(ecq2d, ecbs, tree_id, lead=0):
+    """Every row's planar segment through :func:`add_ecq_planar`, back to
+    back after ``lead`` zero bits: (stream bits, segment starts, end)."""
+    sizes = encoded_size_bits_batch(ecq2d, ecbs, tree_id)
+    starts = lead + np.cumsum(sizes) - sizes
+    end = lead + int(sizes.sum())
+    words = np.zeros(end // 64 + 3, dtype=np.uint64)
+    add_ecq_planar(words, np.ascontiguousarray(ecq2d), ecbs, starts, tree_id)
+    bits = np.unpackbits(words.byteswap().view(np.uint8))
+    assert not bits[end:].any()  # nothing past the last segment
+    return bits[:end], starts, end
 
 
-def _reference_planar(row: np.ndarray, ecb: int, tree_id: int) -> np.ndarray:
-    """Reorder the row's encode_ecq codewords: prefix planes, then tails.
-
-    A prefix is the codeword's leading 1-bits plus the 0 that ends them,
-    or ``L`` 1-bits when the prefix has the tree's full length ``L``.
-    """
-    codes, lengths = encode_ecq(row, ecb, tree_id)
-    words = [format(int(c), f"0{int(n)}b") for c, n in zip(codes, lengths)]
-    L = _levels(tree_id, ecb)
-    cut = []
-    for wd in words:
-        ones = len(wd) - len(wd.lstrip("1"))
-        cut.append(min(ones + 1, L))
-    planes = "".join(
-        wd[j] for j in range(L) for wd, k in zip(words, cut) if k > j
-    )
-    tails = "".join(wd[k:] for wd, k in zip(words, cut))
-    return np.frombuffer((planes + tails).encode(), dtype=np.uint8) - ord("0")
+def _bit_string(bits: np.ndarray) -> str:
+    return "".join(map(str, bits.tolist()))
 
 
 @given(spec_rows=planar_rows, tree_id=st.sampled_from([1, 2, 3, 4, 5]))
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_batched_row_encoders_match_per_block(spec_rows, tree_id):
     """Emitting many rows at once gives each row its one-block segment:
-    the row's encode_ecq codewords reordered into planes, then tails."""
+    the row's reference codewords reordered into planes, then tails."""
     if tree_id == 4:
         # the oracle packs each codeword in a uint64, and tree 4's longest
         # is 2 * (EC_b,max - 1) bits
         spec_rows = [(min(ecb, 33), seed) for ecb, seed in spec_rows]
     ecq2d, ecbs = _planar_rows_from(spec_rows)
-    batched = encode_ecq_planar(ecq2d, ecbs, tree_id)
-    assert len(batched) == len(ecbs)
+    bits, starts, end = _emit_rows(ecq2d, ecbs, tree_id)
+    ends = list(starts[1:]) + [end]
     for k, (row, ecb) in enumerate(zip(ecq2d, ecbs)):
-        (alone,) = encode_ecq_planar(row[None, :], ecb[None], tree_id)
-        got = np.concatenate(batched[k])
-        assert np.array_equal(got, np.concatenate(alone))
-        assert np.array_equal(got, _reference_planar(row, int(ecb), tree_id))
+        got = bits[starts[k] : ends[k]]
+        alone, _, _ = _emit_rows(row[None, :], ecb[None], tree_id, lead=k % 64)
+        assert np.array_equal(got, alone[k % 64 :])
+        assert _bit_string(got) == planar_bits(row, int(ecb), tree_id)
         assert got.size == int(encode_ecq(row, int(ecb), tree_id)[1].sum())
     # int32 residuals (the compressor's usual dtype) emit the same bits
     if int(ecbs.max()) <= 31:
-        batched32 = encode_ecq_planar(ecq2d.astype(np.int32), ecbs, tree_id)
-        for a, b in zip(batched, batched32):
-            assert np.array_equal(np.concatenate(a), np.concatenate(b))
+        bits32, _, _ = _emit_rows(ecq2d.astype(np.int32), ecbs, tree_id)
+        assert np.array_equal(bits, bits32)
 
 
 @given(
@@ -212,20 +205,10 @@ def test_batched_row_encoders_match_per_block(spec_rows, tree_id):
 def test_planar_decode_inverts_emitter_and_walk(spec_rows, tree_id, lead):
     """One batched decode recovers every row; the popcount walk agrees."""
     ecq2d, ecbs = _planar_rows_from(spec_rows)
-    segs = encode_ecq_planar(ecq2d, ecbs, tree_id)
-    parts = [np.zeros(lead, dtype=np.uint8)]
-    starts = []
-    pos = lead
-    for seg in segs:
-        starts.append(pos)
-        parts.extend(seg)
-        pos += sum(x.size for x in seg)
-    bits = np.concatenate(parts)
+    bits, starts, pos = _emit_rows(ecq2d, ecbs, tree_id, lead)
     packed = np.concatenate([np.packbits(bits), np.zeros(8, dtype=np.uint8)])
     out = np.zeros(ecq2d.shape, dtype=np.int64)
-    ends = decode_ecq_planar(
-        bits, packed, np.asarray(starts), ecbs, tree_id, out
-    )
+    ends = decode_ecq_planar(bits, packed, starts, ecbs, tree_id, out)
     assert np.array_equal(out, ecq2d)
     sc = FieldScanner(np.packbits(bits), pos=lead)
     for k, ecb in enumerate(ecbs):
@@ -252,10 +235,10 @@ def test_three_leaf_fused_encoder_matches_tree5(seed, n_rows):
     rng = np.random.default_rng(seed)
     ecq2d = rng.integers(-1, 2, size=(n_rows, N))
     ecbs = np.full(n_rows, 2, dtype=np.int64)
-    segs = encode_ecq_planar(ecq2d, ecbs, 5)
-    for seg, row in zip(segs, ecq2d):
-        got = np.concatenate(seg)
+    bits, starts, end = _emit_rows(ecq2d, ecbs, 5)
+    for k, row in enumerate(ecq2d):
+        got = bits[starts[k] : starts[k + 1] if k + 1 < n_rows else end]
         nz = row != 0
         assert np.array_equal(got, np.concatenate([nz, row[nz] < 0]).astype(np.uint8))
-        assert np.array_equal(got, _reference_planar(row, 2, 5))
+        assert _bit_string(got) == planar_bits(row, 2, 5)
         assert got.size == int(encode_ecq(row, 2, 5)[1].sum())

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitio import BitReader, BitWriter, FieldScanner, varlen_bits
+from repro.bitio import BitReader, BitWriter, FieldScanner, add_fields
 from repro.bitio.vlc import gather_bit_windows_var
 
 fields = st.lists(
@@ -81,14 +81,45 @@ def test_bigint_roundtrip(value):
     )
 )
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_varlen_bits_matches_string_reference(symbols):
+def test_varlen_codes_match_string_reference(symbols):
     """Each codeword's low ``length`` bits, MSB first, back to back; any
     bits above ``length`` are ignored."""
     codes = np.array([c for c, _ in symbols], dtype=np.uint64)
     lengths = np.array([n for _, n in symbols], dtype=np.int64)
     ref = "".join(format(c, "064b")[64 - n :] if n else "" for c, n in symbols)
-    got = varlen_bits(codes, lengths)
+    w = BitWriter()
+    w.write_varlen_array(codes, lengths)
+    assert w.nbits == len(ref)
+    got = np.unpackbits(np.frombuffer(w.getvalue(), dtype=np.uint8))[: len(ref)]
     assert "".join(map(str, got.tolist())) == ref
+
+
+@given(
+    fields=st.lists(
+        st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 64), st.integers(0, 70)),
+        min_size=1,
+        max_size=120,
+    ),
+    order=st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_add_fields_at_any_offset_in_any_order(fields, order):
+    """Fields added at absolute offsets, gaps between them and in any call
+    order, read back as their low ``width`` bits at those offsets."""
+    pos, ref = [], ""
+    for value, width, gap in fields:
+        ref += "0" * gap
+        pos.append(len(ref))
+        ref += format(value, "064b")[64 - width :] if width else ""
+    words = np.zeros(len(ref) // 64 + 2, dtype=np.uint64)
+    perm = list(range(len(fields)))
+    order.shuffle(perm)
+    vals = np.array([fields[i][0] for i in perm], dtype=np.uint64)
+    widths = np.array([fields[i][1] for i in perm])
+    add_fields(words, np.array(pos)[perm], vals, widths)
+    got = np.unpackbits(words.byteswap().view(np.uint8))
+    assert "".join(map(str, got[: len(ref)].tolist())) == ref
+    assert not got[len(ref) :].any()
 
 
 @given(

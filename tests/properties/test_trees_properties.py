@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitio import BitWriter
-from repro.core.trees import TREE_IDS, decode_ecq, encode_ecq, encoded_size_bits_batch
+from repro.core.trees import TREE_IDS, decode_ecq, encoded_size_bits_batch
+from tests.core.ecq_oracle import encode_ecq
 
 
 @st.composite

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.zfp import transform as tf
-from repro.zfp.bitplane import decode_block, encode_block
+from tests.zfp.bitplane_oracle import decode_block, encode_block
 
 ints60 = st.integers(-(2**60), 2**60)
 

