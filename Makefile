@@ -5,7 +5,7 @@ PY ?= python
 export PYTHONPATH := src
 
 .PHONY: test ci bench overhead-check serve-smoke fsck-smoke \
-	store-bench-smoke scaling-smoke cluster-smoke reshard-smoke lowrank-smoke harness \
+	store-bench-smoke scaling-smoke cluster-smoke reshard-smoke harness \
 	perfbench-selftest
 
 test:
@@ -83,14 +83,6 @@ cluster-smoke:
 ## under the same traffic, and no leaked shm segments after teardown.
 reshard-smoke:
 	timeout 240 $(PY) scripts/reshard_smoke.py
-
-## Low-rank codec gate: pack a structured shell-block batch into a real
-## container via `pastri pack --codec lowrank` (codec revived purely from
-## the embedded spec) and round-trip the same batch through a live
-## `pastri serve --codec lowrank` subprocess, asserting the point-wise
-## bound and a minimum ratio on both paths plus live lowrank.* telemetry.
-lowrank-smoke:
-	timeout 150 $(PY) scripts/lowrank_smoke.py
 
 harness:
 	$(PY) -m repro.harness all

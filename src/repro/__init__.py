@@ -28,7 +28,6 @@ if TYPE_CHECKING:
     from repro.core import BlockSpec, BlockType, PaSTRICompressor, ScalingMetric
     from repro.sz import SZCompressor
     from repro.zfp import ZFPCompressor
-    from repro.lowrank import LowRankCompressor
     from repro.lossless import DeflateCodec, FPCCodec
     from repro.chem import (
         ERIDataset,
@@ -69,7 +68,6 @@ __getattr__, __dir__ = lazy_names(
         "repro.core": ("BlockSpec", "BlockType", "PaSTRICompressor", "ScalingMetric"),
         "repro.sz": ("SZCompressor",),
         "repro.zfp": ("ZFPCompressor",),
-        "repro.lowrank": ("LowRankCompressor",),
         "repro.lossless": ("DeflateCodec", "FPCCodec"),
         "repro.chem": (
             "ERIDataset", "ERIEngine", "Molecule", "SyntheticERIModel", "benzene",
@@ -87,8 +85,8 @@ __getattr__, __dir__ = lazy_names(
     },
     (
         "api", "bitio", "chem", "cli", "cluster", "core", "errors", "harness",
-        "lossless", "lowrank", "metrics", "parallel", "pipeline", "service",
-        "streamio", "sz", "telemetry", "zfp",
+        "lossless", "metrics", "parallel", "pipeline", "service", "streamio",
+        "sz", "telemetry", "zfp",
     ),
 )
 
@@ -104,7 +102,6 @@ __all__ = [
     "ScalingMetric",
     "SZCompressor",
     "ZFPCompressor",
-    "LowRankCompressor",
     "DeflateCodec",
     "FPCCodec",
     "ERIDataset",

@@ -1,4 +1,4 @@
-"""Common codec interface shared by PaSTRI, SZ, ZFP, lowrank, and the lossless codecs.
+"""Common codec interface shared by PaSTRI, SZ, ZFP, and the lossless codecs.
 
 Every compressor in this package implements the :class:`Codec` protocol:
 
@@ -16,9 +16,9 @@ error_bound)`` and ``decompress_many(blobs)``; :func:`compress_many` and
 :func:`decompress_many` call them, or fall back to one call per item.
 
 A tiny registry maps codec names (``"pastri"``, ``"sz"``, ``"zfp"``,
-``"lowrank"``, ``"deflate"``, ``"fpc"``) to factories so harness code can
-sweep codecs by name.  A built-in codec's module is imported on the first
-lookup of its name, so a process loads only the codecs it uses.
+``"deflate"``, ``"fpc"``) to factories so harness code can sweep codecs by
+name.  A built-in codec's module is imported on the first lookup of its
+name, so a process loads only the codecs it uses.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ _BUILTIN_CODECS = {
     "pastri": "repro.core.compressor",
     "sz": "repro.sz.compressor",
     "zfp": "repro.zfp.compressor",
-    "lowrank": "repro.lowrank.codec",
     "deflate": "repro.lossless.deflate",
     "fpc": "repro.lossless.fpc",
 }

@@ -38,9 +38,9 @@ fresh footer index is written — atomically in place by default, or to
 ``.npy`` float64 array (``--config`` required) or an ``.npz`` saved by
 :meth:`repro.chem.dataset.ERIDataset.save` (block geometry taken from the
 file).  ``--codec`` on ``pack``/``assess``/``serve`` selects any
-registered codec by name; the low-rank codec adds ``--rank``,
-``--max-rank``, and ``--method svd|cp`` (``docs/LOWRANK.md``).  Error bounds are absolute by default; ``--eb-mode rel`` interprets
-``--eb`` as value-range-relative (SZ's REL mode).
+registered codec by name.  Error bounds are absolute by default;
+``--eb-mode rel`` interprets ``--eb`` as value-range-relative (SZ's REL
+mode).
 
 ``compress``/``decompress``/``pack``/``unpack``/``assess`` take a global
 ``--telemetry[=PATH]`` flag: with it, the run executes under
@@ -144,29 +144,12 @@ def cmd_decompress(args: argparse.Namespace) -> int:
 def _cli_codec_kwargs(args: argparse.Namespace, dims) -> dict:
     """Constructor kwargs for the codec named on the command line.
 
-    Shape-aware codecs need the block geometry; lowrank additionally
-    takes its rank knobs.  Shape-independent codecs take nothing.
+    The shape-aware codec (PaSTRI) needs the block geometry;
+    shape-independent codecs take nothing.
     """
     if args.codec == "pastri":
         return {"dims": dims}
-    if args.codec == "lowrank":
-        return {
-            "dims": dims,
-            "method": args.method,
-            "rank": args.rank,
-            "max_rank": args.max_rank,
-        }
     return {}
-
-
-def _add_lowrank_args(p: argparse.ArgumentParser) -> None:
-    """Rank knobs shared by every subcommand that builds a codec."""
-    p.add_argument("--rank", type=int, default=0,
-                   help="lowrank: pin the factorization rank (0 = adaptive)")
-    p.add_argument("--max-rank", type=int, default=32,
-                   help="lowrank: ceiling for adaptive rank selection")
-    p.add_argument("--method", choices=("svd", "cp"), default="svd",
-                   help="lowrank: factorization family")
 
 
 def _print_container_summary(path: str) -> None:
@@ -836,7 +819,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_eb_args(pk)
     pk.add_argument("--codec", default="pastri", help="registry codec name")
     pk.add_argument("--config", default=None, help="BF configuration for raw .npy")
-    _add_lowrank_args(pk)
     pk.add_argument("--workers", type=int, default=1, help="compression processes")
     pk.add_argument(
         "--chunk-blocks", type=int, default=64,
@@ -883,7 +865,6 @@ def main(argv: list[str] | None = None) -> int:
     a.add_argument("input", help=".npz dataset")
     _add_eb_args(a)
     a.add_argument("--codec", default="pastri")
-    _add_lowrank_args(a)
     _add_telemetry_arg(a)
     a.set_defaults(func=cmd_assess)
 
@@ -911,7 +892,6 @@ def main(argv: list[str] | None = None) -> int:
         help="base BF configuration for shape-aware codecs "
              "(per-request dims still apply)",
     )
-    _add_lowrank_args(sv)
     sv.add_argument("--eb", type=float, default=1e-10, help="store error bound")
     sv.add_argument("--workers", type=int, default=1,
                     help=">1 adds a multiprocessing batch pool")

@@ -89,15 +89,3 @@ class BlockSpec:
     def reshape(self, data):
         """View a 1-D block as a ``(num_sb, sb_size)`` matrix (no copy)."""
         return data.reshape(self.num_sb, self.sb_size)
-
-
-def split_blocks(n_total: int, block_size: int) -> tuple[int, int]:
-    """Return ``(n_blocks, n_tail)`` for a stream of ``n_total`` points.
-
-    PaSTRI operates on full-sized blocks only (screened-out elements are
-    materialised as zeros upstream); any trailing partial block is stored
-    verbatim and counted in ``n_tail``.
-    """
-    if block_size < 1:
-        raise ParameterError("block size must be >= 1")
-    return divmod(n_total, block_size)

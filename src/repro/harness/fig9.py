@@ -1,4 +1,4 @@
-"""Fig. 9 — the headline comparison: PaSTRI vs SZ vs ZFP (plus lowrank).
+"""Fig. 9 — the headline comparison: PaSTRI vs SZ vs ZFP.
 
 (a) compression ratios over 6 datasets × 3 error bounds,
 (b) PSNR-vs-bitrate for the Alanine (dd|dd) dataset,
@@ -20,11 +20,11 @@ from repro.harness.datasets import ERROR_BOUNDS, all_standard_datasets, standard
 from repro.harness.report import render_series, render_table
 from repro.metrics import compression_ratio, max_abs_error, rd_curve
 
-CODECS = ("sz", "zfp", "pastri", "lowrank")
+CODECS = ("sz", "zfp", "pastri")
 
 
 def _codec_for(name: str, ds):
-    if name in ("pastri", "lowrank"):
+    if name == "pastri":
         return get_codec(name, dims=ds.spec.dims)
     return get_codec(name)
 

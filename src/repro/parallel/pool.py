@@ -102,7 +102,7 @@ _WORKER_SHAPED: dict = {}
 def _shaped_worker_codec(dims):
     """Per-worker codec for a block geometry.
 
-    Shape-aware codecs (PaSTRI, lowrank) advertise a ``reshaped`` method;
+    Shape-aware codecs (PaSTRI) advertise a ``reshaped`` method;
     anything else is shape-independent and shared across geometries.
     """
     reshaped = getattr(_WORKER_CODEC, "reshaped", None)

@@ -822,7 +822,7 @@ class CompressedERIStore:
         """Per-geometry codec dispatch.
 
         ERI stores hold quartets of *different* shell classes; shape-aware
-        codecs (PaSTRI, lowrank — anything with a ``reshaped`` method) are
+        codecs (PaSTRI — anything with a ``reshaped`` method) are
         block-geometry specific, so when ``dims`` is given a per-shape
         instance is used (decompression is unaffected — their streams are
         self-describing).  Shape-independent codecs are shared as-is.  The

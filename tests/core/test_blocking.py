@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.blocking import SHELL_CARTESIANS, BlockSpec, split_blocks
+from repro.core.blocking import SHELL_CARTESIANS, BlockSpec
 from repro.errors import ParameterError
 
 
@@ -59,11 +59,3 @@ def test_rejects_nonpositive_dims():
         BlockSpec((0, 1, 1, 1))
     with pytest.raises(ParameterError):
         BlockSpec((1, 1, 1))  # type: ignore[arg-type]
-
-
-def test_split_blocks_counts():
-    assert split_blocks(100, 30) == (3, 10)
-    assert split_blocks(90, 30) == (3, 0)
-    assert split_blocks(5, 30) == (0, 5)
-    with pytest.raises(ParameterError):
-        split_blocks(10, 0)

@@ -23,7 +23,6 @@ LOSSLESS = {"deflate", "fpc"}
 CODEC_KWARGS = {
     "pastri": {"dims": (2, 2, 3, 3)},
     "sz": {"capacity": 256},
-    "lowrank": {"dims": (2, 2, 3, 3)},
 }
 
 finite_doubles = st.floats(
@@ -87,15 +86,9 @@ def test_fpc_container_roundtrip(chunks):
     check_roundtrip("fpc", chunks)
 
 
-@given(chunks=chunk_streams)
-@settings(max_examples=15, deadline=None)
-def test_lowrank_container_roundtrip(chunks):
-    check_roundtrip("lowrank", chunks)
-
-
 def test_every_registered_codec_is_covered():
     """Fail loudly if a codec is registered without a round-trip property."""
-    covered = {"pastri", "sz", "zfp", "deflate", "fpc", "lowrank"}
+    covered = {"pastri", "sz", "zfp", "deflate", "fpc"}
     # other test modules register throwaway codecs under *-test names
     registered = {n for n in api.available_codecs() if not n.endswith("-test")}
     assert registered == covered

@@ -171,16 +171,3 @@ def test_batch_calls_count_their_bytes_once(telemetry_on, rng):
     )
     assert REGISTRY.timer("codec.pastri.compress").count == 1
     assert REGISTRY.timer("codec.pastri.decompress").count == 2
-
-
-def test_lowrank_compress_many_is_one_call_with_each_byte_once(telemetry_on, rng):
-    from repro.lowrank import LowRankCompressor
-
-    codec = LowRankCompressor(dims=DIMS)
-    streams = [make_patterned_stream(rng, n_blocks=2) for _ in range(3)]
-    blobs = codec.compress_many(streams, EB)
-    assert REGISTRY.counter("codec.lowrank.compress.bytes_in").value == sum(
-        s.nbytes for s in streams
-    )
-    assert REGISTRY.counter("codec.lowrank.compress.bytes_out").value == sum(map(len, blobs))
-    assert REGISTRY.timer("codec.lowrank.compress").count == 1  # one span per call

@@ -28,7 +28,7 @@ def test_unknown_codec_rejected():
 def test_every_registered_codec_satisfies_protocol(rng):
     data = rng.standard_normal(2000) * 1e-7
     for name in api.available_codecs():
-        kwargs = {"dims": (2, 2, 2, 2)} if name in ("pastri", "lowrank") else {}
+        kwargs = {"dims": (2, 2, 2, 2)} if name == "pastri" else {}
         codec = api.get_codec(name, **kwargs)
         assert isinstance(codec, api.Codec)
         blob = codec.compress(data, 1e-10)
@@ -80,7 +80,6 @@ SPEC_CODECS = {
     "pastri": {"dims": (2, 2, 3, 3)},
     "sz": {},
     "zfp": {},
-    "lowrank": {"dims": (2, 2, 3, 3), "method": "cp", "rank": 2, "max_rank": 9},
     "deflate": {},
     "fpc": {},
 }

@@ -1,4 +1,5 @@
-"""Documentation freshness: README code blocks must actually run."""
+"""Documentation freshness: README code blocks must actually run, and
+DESIGN.md's system inventory must match the source tree."""
 
 import re
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src" / "repro"
 
 
 def python_blocks(text: str) -> list[str]:
@@ -69,7 +71,6 @@ def test_docs_reference_real_files():
         "EXPERIMENTS.md",
         "docs/FORMAT.md",
         "docs/ALGORITHM.md",
-        "docs/LOWRANK.md",
         "docs/OBSERVABILITY.md",
         "docs/SERVICE.md",
     ):
@@ -79,3 +80,25 @@ def test_docs_reference_real_files():
 def test_readme_example_scripts_exist(readme_text):
     for match in re.findall(r"`examples/(\w+\.py)`", readme_text):
         assert (README.parent / "examples" / match).exists(), match
+
+
+def inventory_rows() -> dict[str, str]:
+    """DESIGN.md §3 as ``{dotted name: key-modules cell}``."""
+    text = (README.parent / "DESIGN.md").read_text()
+    section = text.split("## 3. System inventory", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `repro\.(\w+)` \|.*\| (.*) \|$", section, flags=re.M)
+    assert rows, "DESIGN.md lost its system inventory table"
+    return dict(rows)
+
+
+def test_design_inventory_matches_source_tree():
+    rows = inventory_rows()
+    for name, modules in rows.items():
+        package = SRC / name
+        if package.is_dir():
+            for module in re.findall(r"`(\w+\.py)`", modules):
+                assert (package / module).exists(), f"repro.{name}: no {module}"
+        else:
+            assert (SRC / f"{name}.py").exists(), f"repro.{name} does not exist"
+    packages = {p.parent.name for p in SRC.glob("*/__init__.py")}
+    assert packages <= rows.keys(), f"no inventory row for {sorted(packages - rows.keys())}"

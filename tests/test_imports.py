@@ -31,7 +31,7 @@ SERVING_MODULES = (
 )
 #: the integral engine, which only data generation and SCF need
 ENGINE_MODULES = ("repro.chem.eri", "repro.chem.boys", "repro.chem.scf", "repro.chem.mp2")
-BUILTIN_CODECS = ["deflate", "fpc", "lowrank", "pastri", "sz", "zfp"]
+BUILTIN_CODECS = ["deflate", "fpc", "pastri", "sz", "zfp"]
 
 
 def run_python(code: str, *args: str, cwd=None) -> str:
@@ -104,7 +104,7 @@ def test_codec_specs_revive_before_their_module_is_imported():
     spec alone, before anything imported the codec's module."""
     specs = [
         api.codec_spec(api.get_codec(name, **({"config": "(dd|dd)"}
-                                             if name in ("pastri", "lowrank") else {})))
+                                             if name == "pastri" else {})))
         for name in BUILTIN_CODECS
     ]
     out = run_python(
